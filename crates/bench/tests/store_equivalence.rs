@@ -1,147 +1,92 @@
-//! Legacy-vs-cow state-store equivalence over the full sample corpus,
-//! and serial-vs-parallel exploration equivalence on top of it.
+//! Legacy-vs-cow state-store equivalence over the full sample corpus.
 //!
 //! The copy-on-write store changes *how* states are remembered, never
 //! *which* states the engines visit: for every sample and every engine,
 //! both store modes must produce the same verdict, execute the same
-//! number of steps, record the same number of states, and reconstruct
-//! the same error trace. Store *byte* gauges are the one legitimate
-//! difference between modes, so whole outcomes are compared field by
-//! field rather than with one `assert_eq!`.
+//! number of steps, record the same number of states and paths, and
+//! reconstruct the same raw error trace. Store *byte* gauges are the
+//! one legitimate difference between modes, so engine statistics are
+//! compared field by field rather than with one `assert_eq!`.
 //!
-//! Parallel BFS exploration makes the same promise on a second axis:
-//! the worker count changes *when* states are speculated, never which
-//! states are committed or in what order, so a `jobs > 1` run must be
-//! indistinguishable from serial on every compared field.
+//! The store is an engine-level switch no user surface sets, so the
+//! engines are driven directly on the transformed, lowered sample —
+//! the same program the pipeline hands them.
 
-use kiss_core::checker::{Engine, Kiss, KissOutcome};
-use kiss_core::StoreKind;
-use kiss_seq::Budget;
+use kiss_core::checker::{Engine, Kiss};
+use kiss_core::transform::{transform, TransformConfig};
+use kiss_exec::Module;
+use kiss_seq::{
+    BfsChecker, Budget, EngineStats, ExplicitChecker, StoreKind, SummaryChecker, Verdict,
+};
 
-fn outcome(sample: &kiss_samples::Sample, engine: Engine, store: StoreKind) -> KissOutcome {
-    outcome_jobs(sample, engine, store, 1)
+const ENGINES: [Engine; 3] = [Engine::Explicit, Engine::Bfs, Engine::Summary];
+
+fn budget() -> Budget {
+    Budget::steps_states(2_000_000, 60_000)
 }
 
-fn outcome_jobs(
-    sample: &kiss_samples::Sample,
-    engine: Engine,
-    store: StoreKind,
-    jobs: usize,
-) -> KissOutcome {
-    Kiss::new()
-        .with_engine(engine)
-        .with_store(store)
-        .with_explore_jobs(jobs)
-        .with_validation(false)
-        .with_budget(Budget::steps_states(2_000_000, 60_000))
-        .check_assertions(&sample.program())
+/// The sample as the pipeline checks its assertions: transformed at
+/// `MAX = 0` with alias pruning, then lowered.
+fn lowered(sample: &kiss_samples::Sample) -> Module {
+    let cfg = TransformConfig { max_ts: 0, race: None, alias_prune: true };
+    let info = transform(&sample.program(), &cfg).expect("samples transform");
+    Module::lower(info.program)
 }
 
-/// The error trace, when the outcome carries one, as comparable
-/// `(thread, func, pc)` triples.
-fn trace_of(outcome: &KissOutcome) -> Option<Vec<String>> {
-    match outcome {
-        KissOutcome::AssertionViolation(report) => Some(
-            report
-                .mapped
-                .steps
-                .iter()
-                .map(|s| format!("{s:?}"))
-                .collect(),
-        ),
-        _ => None,
+fn run(module: &Module, engine: Engine, store: StoreKind) -> (Verdict, EngineStats) {
+    match engine {
+        Engine::Explicit => ExplicitChecker::new(module)
+            .with_budget(budget())
+            .with_store(store)
+            .check_with_stats(),
+        Engine::Bfs => BfsChecker::new(module)
+            .with_budget(budget())
+            .with_store(store)
+            .check_with_stats(),
+        Engine::Summary => SummaryChecker::new(module)
+            .with_budget(budget())
+            .with_store(store)
+            .check_with_stats(),
     }
 }
 
 #[test]
 fn every_engine_explores_identically_under_both_stores() {
     for sample in kiss_samples::all() {
-        for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
-            let legacy = outcome(&sample, engine, StoreKind::Legacy);
-            let cow = outcome(&sample, engine, StoreKind::Cow);
+        let module = lowered(&sample);
+        for engine in ENGINES {
+            let (lv, ls) = run(&module, engine, StoreKind::Legacy);
+            let (cv, cs) = run(&module, engine, StoreKind::Cow);
             let label = format!("{} under {}", sample.name, engine.name());
-            assert_eq!(
-                legacy.verdict_str(),
-                cow.verdict_str(),
-                "verdicts diverge for {label}"
-            );
-            let (ls, cs) = (legacy.stats(), cow.stats());
-            assert_eq!(
-                ls.map(|s| s.steps()),
-                cs.map(|s| s.steps()),
-                "steps diverge for {label}"
-            );
-            assert_eq!(
-                ls.map(|s| s.states()),
-                cs.map(|s| s.states()),
-                "states diverge for {label}"
-            );
-            assert_eq!(
-                ls.map(|s| s.seq.paths),
-                cs.map(|s| s.seq.paths),
-                "paths diverge for {label}"
-            );
-            assert_eq!(trace_of(&legacy), trace_of(&cow), "traces diverge for {label}");
+            // Verdict equality covers the raw error trace step by step.
+            assert_eq!(lv, cv, "verdicts or traces diverge for {label}");
+            assert_eq!(ls.steps, cs.steps, "steps diverge for {label}");
+            assert_eq!(ls.states, cs.states, "states diverge for {label}");
+            assert_eq!(ls.paths, cs.paths, "paths diverge for {label}");
         }
     }
 }
 
 #[test]
-fn parallel_bfs_explores_identically_to_serial() {
-    // The serial|parallel axis of the same equivalence: a multi-worker
-    // BFS run commits the same states in the same order as a serial
-    // one, so every compared field — verdict, steps, states, paths,
-    // trace — must be byte-identical. Speculative-step gauges are the
-    // one legitimate difference, exactly as store bytes are above.
+fn the_pipeline_explores_with_the_cow_store() {
+    // What users run — `Kiss` at its defaults — reports exactly the
+    // cow store's statistics, byte gauges included.
     for sample in kiss_samples::all() {
-        let serial = outcome_jobs(&sample, Engine::Bfs, StoreKind::Cow, 1);
-        for jobs in [2, 4] {
-            let parallel = outcome_jobs(&sample, Engine::Bfs, StoreKind::Cow, jobs);
-            let label = format!("{} at jobs={jobs}", sample.name);
+        let module = lowered(&sample);
+        for engine in ENGINES {
+            let outcome = Kiss::new()
+                .with_engine(engine)
+                .with_validation(false)
+                .with_budget(budget())
+                .check_assertions(&sample.program());
+            let (_, cow) = run(&module, engine, StoreKind::Cow);
             assert_eq!(
-                serial.verdict_str(),
-                parallel.verdict_str(),
-                "verdicts diverge for {label}"
-            );
-            let (ss, ps) = (serial.stats(), parallel.stats());
-            assert_eq!(
-                ss.map(|s| s.steps()),
-                ps.map(|s| s.steps()),
-                "steps diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.states()),
-                ps.map(|s| s.states()),
-                "states diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.seq.paths),
-                ps.map(|s| s.seq.paths),
-                "paths diverge for {label}"
-            );
-            assert_eq!(
-                ss.map(|s| s.seq.states_stored),
-                ps.map(|s| s.seq.states_stored),
-                "stored-state counts diverge for {label}"
-            );
-            assert_eq!(
-                trace_of(&serial),
-                trace_of(&parallel),
-                "traces diverge for {label}"
+                outcome.stats().map(|s| s.seq),
+                Some(cow),
+                "{} under {}",
+                sample.name,
+                engine.name()
             );
         }
     }
-}
-
-#[test]
-fn cow_is_the_default_store() {
-    // A sample checked with an explicit `cow` store matches the
-    // builder's default, so existing callers get the new store.
-    let sample = kiss_samples::all().into_iter().next().expect("non-empty suite");
-    let default = Kiss::new()
-        .with_validation(false)
-        .with_budget(Budget::steps_states(2_000_000, 60_000))
-        .check_assertions(&sample.program());
-    let cow = outcome(&sample, Engine::Explicit, StoreKind::Cow);
-    assert_eq!(default, cow);
 }

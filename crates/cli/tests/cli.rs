@@ -123,39 +123,39 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
-fn explore_jobs_matches_serial_output_and_rejects_bad_values() {
-    // The flag is a throughput knob, never a semantics knob: the
-    // parallel run's report must be byte-identical to the serial one.
-    let path = write_temp("jobs", BUGGY);
-    let bfs = ["--engine", "bfs", "--store", "cow"];
-    let serial =
-        kissc().args(["check"]).arg(&path).args(bfs).output().expect("run kissc");
-    let parallel = kissc()
-        .args(["check"])
-        .arg(&path)
-        .args(bfs)
-        .args(["--explore-jobs", "4"])
-        .output()
-        .expect("run kissc");
-    assert_eq!(serial.status.code(), Some(1), "{serial:?}");
-    assert_eq!(parallel.status.code(), Some(1), "{parallel:?}");
-    assert_eq!(
-        String::from_utf8_lossy(&serial.stdout),
-        String::from_utf8_lossy(&parallel.stdout)
+fn retired_store_and_explore_jobs_flags_are_unknown() {
+    let path = write_temp("retired", RACY);
+    let path = path.to_str().expect("utf-8 temp path");
+    for flag in [["--store", "cow"], ["--explore-jobs", "4"]] {
+        for cmd in [vec!["check", path], vec!["race", path, "r"], vec!["submit", path]] {
+            let out = kissc().args(&cmd).args(flag).output().expect("run kissc");
+            assert_eq!(out.status.code(), Some(2), "{cmd:?} {flag:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let named = format!("unrecognized flag `{}`", flag[0]);
+            assert!(stderr.contains(&named), "{cmd:?} {flag:?}: {stderr}");
+        }
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn every_engine_reports_an_indirect_call_arity_error() {
+    // `f` points at a one-parameter function but is called with none.
+    let path = write_temp(
+        "arity",
+        "int g; void a(int x) { g = x; } void main() { fn f; f = a; f(); }",
     );
-    // Zero and garbage are usage errors that name the flag.
-    for bad in ["0", "many"] {
-        let out = kissc()
-            .args(["check"])
-            .arg(&path)
-            .args(["--explore-jobs", bad])
-            .output()
-            .expect("run kissc");
-        assert_eq!(out.status.code(), Some(2), "{out:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("--explore-jobs"),
-            "{out:?}"
-        );
+    for mode in [
+        &["--engine", "explicit"][..],
+        &["--engine", "bfs"],
+        &["--engine", "summary"],
+        &["--ltl", "G(g == 0)"],
+    ] {
+        let out = kissc().args(["check"]).arg(&path).args(mode).output().expect("run kissc");
+        assert_eq!(out.status.code(), Some(1), "{mode:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("runtime error"), "{mode:?}: {stdout}");
+        assert!(stdout.contains("with 0 argument(s), expected 1"), "{mode:?}: {stdout}");
     }
     std::fs::remove_file(path).ok();
 }

@@ -16,7 +16,7 @@ use kiss_lang::Program;
 use kiss_obs::{Obs, Span, TraceId};
 use kiss_seq::{
     BfsChecker, BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, ExplicitChecker,
-    StoreKind, SummaryChecker, Verdict,
+    SummaryChecker, Verdict,
 };
 
 use crate::trace_map::{self, MappedTrace};
@@ -241,8 +241,6 @@ pub struct Kiss {
     optimize: bool,
     cancel: CancelToken,
     obs: Obs,
-    store: StoreKind,
-    explore_jobs: usize,
     trace: TraceId,
     trace_parent: u64,
 }
@@ -266,8 +264,6 @@ impl Kiss {
             optimize: false,
             cancel: CancelToken::default(),
             obs: Obs::off(),
-            store: StoreKind::default(),
-            explore_jobs: 1,
             trace: TraceId::NONE,
             trace_parent: 0,
         }
@@ -301,24 +297,6 @@ impl Kiss {
     /// Selects the sequential engine.
     pub fn with_engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Selects the sequential engines' state-storage implementation
-    /// (`--store legacy|cow`); the legacy store is the equivalence
-    /// oracle for the interned one.
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Explores each single check with `jobs` worker threads
-    /// (`--explore-jobs <n>`; clamped to at least one). Only the BFS
-    /// engine over the `cow` store parallelizes; other engines ignore
-    /// it. Verdicts, traces, and state counts are byte-identical to a
-    /// serial run — this is a throughput knob, never a semantics knob.
-    pub fn with_explore_jobs(mut self, jobs: usize) -> Self {
-        self.explore_jobs = jobs.max(1);
         self
     }
 
@@ -402,55 +380,30 @@ impl Kiss {
     /// accepting lasso. Terminated runs stutter in their final state;
     /// pruned (`assume`-false) paths contribute no run. The `--engine`
     /// selection does not apply — liveness always uses the product
-    /// engine — but budget, cancellation, observer, and `explore_jobs`
-    /// do, and parallel exploration stays byte-identical to serial.
+    /// engine — but budget, cancellation, and observer do.
     pub fn check_ltl(
         &self,
         program: &Program,
         formula: &kiss_ltl::Formula,
     ) -> Result<KissOutcome, CheckError> {
         let cfg = TransformConfig { max_ts: self.max_ts, race: None, alias_prune: self.alias_prune };
-        let trace = if self.trace.is_none() && self.obs.is_enabled() {
-            TraceId::fresh()
-        } else {
-            self.trace
-        };
-        let phase = |name| Span::open(&self.obs, trace, self.trace_parent, name);
-        let span = phase("transform");
-        let pruned;
-        let input: &Program = if self.optimize {
-            let mut p = program.clone();
-            kiss_lang::opt::prune_unreachable(&mut p);
-            pruned = p;
-            &pruned
-        } else {
-            program
-        };
-        let mut info = match transform(input, &cfg) {
-            Ok(t) => t,
+        let (trace, info, module) = match self.prepare(program, &cfg) {
+            Ok(prepared) => prepared,
             Err(e) => return Ok(KissOutcome::TransformFailed(e)),
         };
-        if self.optimize {
-            kiss_lang::opt::simplify(&mut info.program);
-        }
-        span.close();
-        let span = phase("buchi");
+        let span = self.phase(trace, "buchi");
         let buchi = kiss_ltl::Buchi::for_negation(formula);
-        span.close();
-        let span = phase("lower");
-        let module = Module::lower(std::mem::take(&mut info.program));
         span.close();
         // Transformation only appends instrumentation globals, so user
         // globals keep their ids — resolving against the transformed
         // program indexes the product configurations correctly.
         let atoms = kiss_ltl::resolve_atoms(&module.program, &buchi.atoms)
             .map_err(|name| CheckError::UnknownProposition { name })?;
-        let span = phase("explore");
+        let span = self.phase(trace, "explore");
         let (verdict, seq) = kiss_ltl::ProductChecker::new(&module, &buchi, atoms)
             .with_budget(self.budget)
             .with_cancel(self.cancel.clone())
             .with_observer(self.obs.clone())
-            .with_jobs(self.explore_jobs)
             .with_trace(trace, self.trace_parent)
             .check_with_stats();
         span.close();
@@ -479,16 +432,24 @@ impl Kiss {
         })
     }
 
-    fn run(&self, program: &Program, cfg: &TransformConfig) -> KissOutcome {
-        // A standalone check (no caller-supplied trace) still gets a
-        // coherent phase tree when the observer is on.
+    /// The front end every check shares: mints the trace id (a
+    /// standalone check with the observer on still gets a coherent
+    /// phase tree), then runs the `transform` phase — optional
+    /// unreachable-function pruning, the transformation, optional
+    /// simplification — and the `lower` phase, each under its span.
+    /// The transformed program moves into the module; the returned
+    /// [`Transformed`] keeps the id and slot fields `report` reads.
+    fn prepare(
+        &self,
+        program: &Program,
+        cfg: &TransformConfig,
+    ) -> Result<(TraceId, Transformed, Module), TransformError> {
         let trace = if self.trace.is_none() && self.obs.is_enabled() {
             TraceId::fresh()
         } else {
             self.trace
         };
-        let phase = |name| Span::open(&self.obs, trace, self.trace_parent, name);
-        let span = phase("transform");
+        let span = self.phase(trace, "transform");
         let pruned;
         let input: &Program = if self.optimize {
             let mut p = program.clone();
@@ -498,39 +459,43 @@ impl Kiss {
         } else {
             program
         };
-        let mut info = match transform(input, cfg) {
-            Ok(t) => t,
-            Err(e) => return KissOutcome::TransformFailed(e),
-        };
+        let mut info = transform(input, cfg)?;
         if self.optimize {
             kiss_lang::opt::simplify(&mut info.program);
         }
         span.close();
-        // `lower` keeps the program inside the module, so hand it over
-        // instead of cloning; `report` only reads the id/slot fields.
-        let span = phase("lower");
+        let span = self.phase(trace, "lower");
         let module = Module::lower(std::mem::take(&mut info.program));
         span.close();
-        let span = phase("explore");
+        Ok((trace, info, module))
+    }
+
+    /// Opens the phase span `name` under this check's parent.
+    fn phase(&self, trace: TraceId, name: &'static str) -> Span {
+        Span::open(&self.obs, trace, self.trace_parent, name)
+    }
+
+    fn run(&self, program: &Program, cfg: &TransformConfig) -> KissOutcome {
+        let (trace, info, module) = match self.prepare(program, cfg) {
+            Ok(prepared) => prepared,
+            Err(e) => return KissOutcome::TransformFailed(e),
+        };
+        let span = self.phase(trace, "explore");
         let (verdict, seq) = match self.engine {
             Engine::Explicit => ExplicitChecker::new(&module)
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
                 .check_with_stats(),
             Engine::Summary => SummaryChecker::new(&module)
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
                 .check_with_stats(),
             Engine::Bfs => BfsChecker::new(&module)
                 .with_budget(self.budget)
                 .with_cancel(self.cancel.clone())
                 .with_observer(self.obs.clone())
-                .with_store(self.store)
-                .with_jobs(self.explore_jobs)
                 .check_with_stats(),
         };
         span.close();
@@ -626,17 +591,6 @@ mod tests {
         // Rendering shows the loop's source text.
         let rendered = crate::report::render_liveness(&prog(SPINLOCK_MUTANT), &report);
         assert!(rendered.contains("cycle"), "{rendered}");
-    }
-
-    #[test]
-    fn ltl_parallel_exploration_matches_serial() {
-        let formula = kiss_ltl::parse("F (locked == 0)").unwrap();
-        let serial = Kiss::new().check_ltl(&prog(SPINLOCK_MUTANT), &formula).unwrap();
-        let parallel = Kiss::new()
-            .with_explore_jobs(4)
-            .check_ltl(&prog(SPINLOCK_MUTANT), &formula)
-            .unwrap();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

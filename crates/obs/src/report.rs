@@ -31,10 +31,6 @@ pub struct EngineTotals {
     /// summed). Parses as 0 from reports written before the gauge
     /// existed.
     pub store_bytes: u64,
-    /// Instructions actually executed including parallel speculation
-    /// (final attempts, summed; equals `steps` for serial runs).
-    /// Parses as 0 from reports written before the gauge existed.
-    pub speculative_steps: u64,
     /// Wall-clock milliseconds spent.
     pub wall_ms: u64,
 }
@@ -96,7 +92,6 @@ impl RunReport {
         engine.steps += m.steps;
         engine.states += m.states;
         engine.store_bytes += m.store_bytes;
-        engine.speculative_steps += m.speculative_steps;
         engine.wall_ms += m.wall_ms;
         self.wall_ms += m.wall_ms;
         self.durations_ms.push(m.wall_ms);
@@ -119,7 +114,6 @@ impl RunReport {
             e.steps += v.steps;
             e.states += v.states;
             e.store_bytes += v.store_bytes;
-            e.speculative_steps += v.speculative_steps;
             e.wall_ms += v.wall_ms;
         }
         self.wall_ms += other.wall_ms;
@@ -196,13 +190,12 @@ impl RunReport {
             .map(|(k, e)| {
                 format!(
                     "{}:{{\"checks\":{},\"steps\":{},\"states\":{},\
-                     \"store_bytes\":{},\"speculative_steps\":{},\"wall_ms\":{}}}",
+                     \"store_bytes\":{},\"wall_ms\":{}}}",
                     quoted(k),
                     e.checks,
                     e.steps,
                     e.states,
                     e.store_bytes,
-                    e.speculative_steps,
                     e.wall_ms,
                 )
             })
@@ -258,15 +251,10 @@ impl RunReport {
                         steps: e.get("steps")?.as_u64()?,
                         states: e.get("states")?.as_u64()?,
                         // Tolerate reports from before the store gauge
-                        // existed (resumed journals, old traces).
+                        // existed (resumed journals, old traces). The
+                        // retired `speculative_steps` key is ignored.
                         store_bytes: e
                             .get("store_bytes")
-                            .and_then(Json::as_u64)
-                            .unwrap_or(0),
-                        // Likewise for the speculation gauge, which
-                        // postdates the store one.
-                        speculative_steps: e
-                            .get("speculative_steps")
                             .and_then(Json::as_u64)
                             .unwrap_or(0),
                         wall_ms: e.get("wall_ms")?.as_u64()?,
@@ -331,13 +319,6 @@ impl RunReport {
                  {} store bytes, {} ms\n",
                 e.checks, e.steps, e.states, e.store_bytes, e.wall_ms
             ));
-            if e.speculative_steps > e.steps {
-                out.push_str(&format!(
-                    "              {name}: {} speculative steps ({} wasted)\n",
-                    e.speculative_steps,
-                    e.speculative_steps - e.steps
-                ));
-            }
         }
         if let Some(sps) = self.states_per_sec() {
             out.push_str(&format!("  throughput: {sps:.0} states/s\n"));
@@ -482,25 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn speculative_steps_accumulate_and_tolerate_old_reports() {
-        let mut r = RunReport::default();
-        let mut m = metric("pass", "bfs", 100, 4);
-        m.speculative_steps = 130;
-        r.observe(&m);
-        r.observe(&m);
-        assert_eq!(r.engines["bfs"].speculative_steps, 260);
-        assert!(r.render().contains("260 speculative steps (60 wasted)"), "{}", r.render());
-        let back = RunReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.engines["bfs"].speculative_steps, 260);
-        // Reports written before the gauge existed parse with zero and
-        // render without the speculation line.
+    fn reports_carrying_the_retired_speculation_gauge_still_parse() {
         let old = "{\"checks\":1,\"retries\":0,\"outcomes\":{\"pass\":1},\
                    \"bound_reasons\":{},\"engines\":{\"bfs\":{\"checks\":1,\
-                   \"steps\":7,\"states\":3,\"wall_ms\":2}},\"wall_ms\":2,\
+                   \"steps\":7,\"states\":3,\"store_bytes\":64,\
+                   \"speculative_steps\":9,\"wall_ms\":2}},\"wall_ms\":2,\
                    \"durations_ms\":[2]}";
         let r = RunReport::from_json(old).expect("old report must parse");
-        assert_eq!(r.engines["bfs"].speculative_steps, 0);
-        assert!(!r.render().contains("speculative"));
+        assert_eq!(r.engines["bfs"].steps, 7);
+        assert_eq!(r.engines["bfs"].store_bytes, 64);
+        assert!(!r.to_json().contains("speculative"));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! the engine KISS feeds the sequentialized program to, playing the
 //! role SLAM plays in the paper's Figure 1.
 
-use kiss_exec::{eval, Env, Instr, Module, Value};
-use kiss_lang::hir::{CallTarget, FuncId};
+use kiss_exec::{eval, Env, ExecError, Instr, Module, Value};
+use kiss_lang::hir::{CallTarget, FuncId, Operand};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
@@ -40,7 +40,10 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Selects the state-storage implementation: the interned
-    /// open-addressing table (default) or the legacy `HashSet`.
+    /// open-addressing table (default) or the legacy `HashSet`, kept
+    /// only as the reference the store-equivalence tests compare
+    /// against.
+    #[doc(hidden)]
     pub fn with_store(mut self, store: StoreKind) -> Self {
         self.store = store;
         self
@@ -210,25 +213,9 @@ impl Search<'_> {
                         Ok(false) => return PathEnd::Done,
                         Err(v) => return PathEnd::Stop(v),
                     }
-                    // One env borrow per dispatch: resolve the callee,
-                    // check arity, and evaluate the arguments into the
-                    // reusable scratch buffer under a single borrow.
-                    self.arg_scratch.clear();
                     let resolved = {
                         let env = SeqEnv { module, config: &mut config };
-                        resolve_target(&env, *target).and_then(|callee| {
-                            let def = module.program.func(callee);
-                            if def.param_count as usize != args.len() {
-                                return Err(kiss_exec::ExecError::ArityMismatch {
-                                    func: callee,
-                                    expected: def.param_count,
-                                    got: args.len() as u32,
-                                });
-                            }
-                            self.arg_scratch
-                                .extend(args.iter().map(|a| eval::eval_operand(&env, a)));
-                            Ok(callee)
-                        })
+                        resolve_call(&env, module, *target, args, &mut self.arg_scratch)
                     };
                     let callee = match resolved {
                         Ok(f) => f,
@@ -302,17 +289,36 @@ impl Search<'_> {
     }
 }
 
-/// Resolves a call target to a function id. Shared by the sequential
-/// engines and the kiss-ltl product engine (which steps instructions
-/// itself, one at a time, so the Büchi automaton can branch anywhere).
-pub fn resolve_target(env: &impl Env, target: CallTarget) -> Result<FuncId, kiss_exec::ExecError> {
+/// Resolves a call target to a function id.
+fn resolve_target(env: &impl Env, target: CallTarget) -> Result<FuncId, ExecError> {
     match target {
         CallTarget::Direct(f) => Ok(f),
         CallTarget::Indirect(v) => match env.read_var(v) {
             Value::Fn(f) => Ok(f),
-            other => Err(kiss_exec::ExecError::NotAFunction { found: other.type_name() }),
+            other => Err(ExecError::NotAFunction { found: other.type_name() }),
         },
     }
+}
+
+/// Resolves a call's callee, checks its arity, and evaluates the
+/// arguments into `arg_vals` (cleared first). Every sequential engine
+/// and the kiss-ltl product engine dispatch calls through this, so they
+/// agree on which calls are runtime errors.
+pub fn resolve_call(
+    env: &impl Env,
+    module: &Module,
+    target: CallTarget,
+    args: &[Operand],
+    arg_vals: &mut Vec<Value>,
+) -> Result<FuncId, ExecError> {
+    let callee = resolve_target(env, target)?;
+    let expected = module.program.func(callee).param_count;
+    if expected as usize != args.len() {
+        return Err(ExecError::ArityMismatch { func: callee, expected, got: args.len() as u32 });
+    }
+    arg_vals.clear();
+    arg_vals.extend(args.iter().map(|a| eval::eval_operand(env, a)));
+    Ok(callee)
 }
 
 #[cfg(test)]

@@ -36,8 +36,7 @@ pub use cancel::CancelToken;
 pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
 pub use store::{
-    SegmentInterner, ShardedVisitedTable, StateCapExceeded, StateId, StoreKind, VisitedSet,
-    VisitedTable, SHARD_COUNT,
+    SegmentInterner, StateCapExceeded, StateId, StoreKind, VisitedSet, VisitedTable,
 };
 pub use summary::SummaryChecker;
 pub use verdict::{ErrorTrace, TraceStep, Verdict};

@@ -24,6 +24,7 @@ use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
+use crate::explicit::resolve_call;
 use crate::stats::EngineStats;
 use crate::store::{StoreKind, VisitedSet};
 use crate::verdict::{ErrorTrace, Verdict};
@@ -72,7 +73,9 @@ impl<'a> SummaryChecker<'a> {
     }
 
     /// Selects the state-storage implementation for the per-body
-    /// visited tables.
+    /// visited tables; the legacy `HashSet` is kept only as the
+    /// reference the store-equivalence tests compare against.
+    #[doc(hidden)]
     pub fn with_store(mut self, store: StoreKind) -> Self {
         self.store = store;
         self
@@ -329,24 +332,12 @@ impl Engine<'_> {
                         if !record(&mut visited, &state).map_err(Interrupt::Budget)? {
                             break 'path;
                         }
-                        // One env borrow resolves the callee and
-                        // evaluates the arguments together.
-                        let (callee, arg_vals) = {
+                        let mut arg_vals = Vec::new();
+                        let callee = {
                             let env = LocalEnv { module: self.module, state: &mut state };
-                            let callee = crate::explicit::resolve_target(&env, *target)
-                                .map_err(Interrupt::Runtime)?;
-                            let arg_vals: Vec<Value> =
-                                args.iter().map(|a| eval::eval_operand(&env, a)).collect();
-                            (callee, arg_vals)
+                            resolve_call(&env, self.module, *target, args, &mut arg_vals)
+                                .map_err(Interrupt::Runtime)?
                         };
-                        let callee_def = self.module.program.func(callee);
-                        if callee_def.param_count as usize != arg_vals.len() {
-                            return Err(Interrupt::Runtime(ExecError::ArityMismatch {
-                                func: callee,
-                                expected: callee_def.param_count,
-                                got: arg_vals.len() as u32,
-                            }));
-                        }
                         let call_key =
                             Key { func: callee, mem: state.mem.clone(), args: arg_vals };
                         let call_exits = self.analyze(call_key)?;

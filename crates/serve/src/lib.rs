@@ -1,7 +1,7 @@
 //! kiss-serve: a persistent check service for the KISS checker.
 //!
 //! The checker's verdicts are deterministic functions of (program
-//! source, operation, engine, store, `MAX`, budget) — which makes them
+//! source, operation, engine, `MAX`, budget) — which makes them
 //! perfectly cacheable. This crate turns that observation into a
 //! daemon: a socket server ([`server`]) executes checks under the
 //! `kiss-core` supervisor and remembers every verdict in a

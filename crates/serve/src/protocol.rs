@@ -10,12 +10,14 @@
 //!
 //! ```json
 //! {"id":"q0","op":"race","target":"Ext.field","source":"int g; ...",
-//!  "engine":"explicit","store":"cow","max_ts":0,
+//!  "engine":"explicit","max_ts":0,
 //!  "max_steps":50000,"max_states":8000,"timeout_ms":2000,"no_cache":true}
 //! ```
 //!
 //! `id`, `op`, and `source` (plus `target` for `op:"race"`) are
-//! required; everything else defaults. A response frame:
+//! required; everything else defaults. Unknown keys are ignored, so
+//! the `store` and `explore_jobs` keys older clients send are accepted
+//! and have no effect. A response frame:
 //!
 //! ```json
 //! {"id":"q0","verdict":"race","detail":"...","steps":123,"states":45,
@@ -48,7 +50,6 @@
 use kiss_core::checker::Engine;
 use kiss_obs::json::{quoted, Json};
 use kiss_obs::{Histogram, TraceId};
-use kiss_seq::StoreKind;
 
 /// Hard cap on one frame's byte length. Driver sources are tens of
 /// kilobytes; anything past this is a protocol error, not a program.
@@ -95,8 +96,6 @@ pub struct Request {
     pub source: String,
     /// Sequential engine to run.
     pub engine: Engine,
-    /// State-store implementation.
-    pub store: StoreKind,
     /// The `MAX` coverage bound.
     pub max_ts: usize,
     /// Step-budget override (server default when absent).
@@ -107,12 +106,6 @@ pub struct Request {
     pub timeout_ms: Option<u64>,
     /// Skip the cache lookup (the verdict is still stored).
     pub no_cache: bool,
-    /// Worker threads exploring a single check (BFS + cow store only).
-    /// A throughput knob, never a semantics knob: results are
-    /// byte-identical to a serial run, so it is excluded from the
-    /// cache key — a warm answer from a serial run satisfies a
-    /// parallel request and vice versa.
-    pub explore_jobs: usize,
     /// Client-minted trace id threading this request's spans through
     /// the server's event stream. [`TraceId::NONE`] (the default) lets
     /// the server mint one. Like `id`, a transport concern — excluded
@@ -128,13 +121,11 @@ impl Request {
             op: Op::Check,
             source: source.into(),
             engine: Engine::default(),
-            store: StoreKind::default(),
             max_ts: 0,
             max_steps: None,
             max_states: None,
             timeout_ms: None,
             no_cache: false,
-            explore_jobs: 1,
             trace: TraceId::NONE,
         }
     }
@@ -169,10 +160,8 @@ impl Request {
 
     /// The content address: a 128-bit fingerprint over every field that
     /// determines the verdict — source text, operation and target,
-    /// engine, store, `MAX`, and the budget overrides. The `id` and
-    /// `no_cache` fields are transport concerns and excluded, and so
-    /// is `explore_jobs` — parallel exploration is byte-identical to
-    /// serial, so the verdict does not depend on it.
+    /// engine, `MAX`, and the budget overrides. The `id`, `no_cache`
+    /// and `trace` fields are transport concerns and excluded.
     pub fn cache_key(&self) -> u128 {
         // The formula rides the target slot; the op name alone keeps an
         // `ltl` request distinct from a `race` on an equal spelling.
@@ -188,7 +177,9 @@ impl Request {
             target,
             self.source.as_str(),
             self.engine.name(),
-            self.store.name(),
+            // Hashed where the store name used to be, so journals
+            // written by earlier daemons keep their keys.
+            "cow",
             self.max_ts,
             self.max_steps,
             self.max_states,
@@ -221,10 +212,9 @@ impl Request {
             Op::Metrics => out.push_str(",\"op\":\"metrics\""),
         }
         out.push_str(&format!(
-            ",\"source\":{},\"engine\":{},\"store\":{},\"max_ts\":{}",
+            ",\"source\":{},\"engine\":{},\"max_ts\":{}",
             quoted(&self.source),
             quoted(self.engine.name()),
-            quoted(self.store.name()),
             self.max_ts,
         ));
         for (name, value) in [
@@ -238,9 +228,6 @@ impl Request {
         }
         if self.no_cache {
             out.push_str(",\"no_cache\":true");
-        }
-        if self.explore_jobs > 1 {
-            out.push_str(&format!(",\"explore_jobs\":{}", self.explore_jobs));
         }
         if !self.trace.is_none() {
             out.push_str(&format!(",\"trace\":\"{}\"", self.trace.to_hex()));
@@ -526,10 +513,6 @@ fn request_from_value(v: &Json) -> Result<Request, FrameError> {
         None => Engine::default(),
         Some(s) => Engine::parse(s).ok_or_else(|| malformed(format!("unknown engine `{s}`")))?,
     };
-    let store = match v.get("store").and_then(Json::as_str) {
-        None => StoreKind::default(),
-        Some(s) => StoreKind::parse(s).ok_or_else(|| malformed(format!("unknown store `{s}`")))?,
-    };
     let num = |name: &str| -> Result<Option<u64>, FrameError> {
         match v.get(name) {
             None | Some(Json::Null) => Ok(None),
@@ -545,16 +528,11 @@ fn request_from_value(v: &Json) -> Result<Request, FrameError> {
         op,
         source,
         engine,
-        store,
         max_ts: num("max_ts")?.unwrap_or(0) as usize,
         max_steps: num("max_steps")?,
         max_states: num("max_states")?,
         timeout_ms: num("timeout_ms")?,
         no_cache: matches!(v.get("no_cache"), Some(Json::Bool(true))),
-        explore_jobs: match num("explore_jobs")? {
-            None | Some(0) => 1,
-            Some(n) => n as usize,
-        },
         // Tolerant: an unparsable trace degrades to "server mints one",
         // never to a rejected frame.
         trace: v
@@ -791,13 +769,11 @@ mod tests {
             op: Op::Race { target: "Ext.field".to_string() },
             source: "int g;\nvoid main() { skip; }".to_string(),
             engine: Engine::Bfs,
-            store: StoreKind::Legacy,
             max_ts: 2,
             max_steps: Some(50_000),
             max_states: Some(8_000),
             timeout_ms: Some(2_000),
             no_cache: true,
-            explore_jobs: 4,
             trace: TraceId(0x1234_5678_9abc_def0),
         };
         assert_eq!(decode_request(&req.to_json()), Ok(req));
@@ -808,7 +784,6 @@ mod tests {
         let req = decode_request(r#"{"id":"a","op":"check","source":"void main() { skip; }"}"#)
             .unwrap();
         assert_eq!(req.engine, Engine::Explicit);
-        assert_eq!(req.store, StoreKind::default());
         assert_eq!(req.max_ts, 0);
         assert_eq!(req.max_steps, None);
         assert!(!req.no_cache);
@@ -825,7 +800,6 @@ mod tests {
             (r#"{"id":"a","op":"race","source":"x"}"#, "needs a `target`"),
             (r#"{"id":"a","op":"check"}"#, "missing `source`"),
             (r#"{"id":"a","op":"check","source":"x","engine":"warp"}"#, "unknown engine"),
-            (r#"{"id":"a","op":"check","source":"x","store":"zipdb"}"#, "unknown store"),
             (r#"{"id":"a","op":"check","source":"x","max_steps":"ten"}"#, "non-negative"),
         ] {
             let err = decode_request(line).unwrap_err();
@@ -840,7 +814,6 @@ mod tests {
         for (line, offending) in [
             (r#"{"id":"a","op":"zap","source":"x"}"#, "`zap`"),
             (r#"{"id":"a","op":"check","source":"x","engine":"warp"}"#, "`warp`"),
-            (r#"{"id":"a","op":"check","source":"x","store":"zipdb"}"#, "`zipdb`"),
         ] {
             let err = decode_request(line).unwrap_err();
             assert!(err.message().contains(offending), "{line} -> {}", err.message());
@@ -878,7 +851,6 @@ mod tests {
         let mut same = ltl.clone();
         same.id = "other-id".to_string();
         same.no_cache = true;
-        same.explore_jobs = 8;
         assert_eq!(ltl.cache_key(), same.cache_key());
     }
 
@@ -914,20 +886,26 @@ mod tests {
         assert_eq!(decode_request(&round.to_json()), Ok(round));
     }
 
+    /// Cache keys as the daemon computed them while requests still
+    /// carried a `store` field (always `cow` by default). Journals
+    /// written then must keep answering now, so these must not move.
     #[test]
-    fn explore_jobs_defaults_and_round_trips() {
-        // Absent from the frame at the default, so old servers see
-        // byte-identical requests from updated clients.
-        let base = Request::check("a", "void main() { skip; }");
-        assert!(!base.to_json().contains("explore_jobs"));
-        assert_eq!(decode_request(&base.to_json()).unwrap().explore_jobs, 1);
-        // A zero on the wire degrades to serial, never to an error.
-        let line = r#"{"id":"a","op":"check","source":"x","explore_jobs":0}"#;
-        assert_eq!(decode_request(line).unwrap().explore_jobs, 1);
-        let mut req = base;
-        req.explore_jobs = 4;
-        assert!(req.to_json().contains("\"explore_jobs\":4"));
-        assert_eq!(decode_request(&req.to_json()), Ok(req));
+    fn cache_keys_match_journals_written_by_earlier_daemons() {
+        let race = Request::race("r", "int g; void main() { g = 1; }", "g");
+        assert_eq!(race.cache_key(), 0x0cbeb1a71adcd4577dcf984bb6bdba1b);
+        let ltl = Request::ltl(
+            "l",
+            "int locked; void main() { locked = 1; locked = 0; }",
+            "G (locked -> F !locked)",
+        );
+        assert_eq!(ltl.cache_key(), 0x08e4bb7764015686489fc5aa689c75c0);
+        let mut tuned = Request::race("t", "int g; void main() { g = 1; }", "g");
+        tuned.engine = Engine::Bfs;
+        tuned.max_ts = 2;
+        tuned.max_steps = Some(50_000);
+        tuned.max_states = Some(8_000);
+        tuned.timeout_ms = Some(2_000);
+        assert_eq!(tuned.cache_key(), 0x4dcf34198a82602e6845b800164f9b6e);
     }
 
     #[test]
@@ -1081,9 +1059,7 @@ mod tests {
         let mut same = base.clone();
         same.id = "completely-different".to_string();
         same.no_cache = true;
-        // Parallel exploration is byte-identical to serial, so the
-        // worker count must not fragment the cache.
-        same.explore_jobs = 8;
+        same.trace = TraceId(7);
         assert_eq!(base.cache_key(), same.cache_key());
         let mut other = base.clone();
         other.engine = Engine::Bfs;

@@ -2,8 +2,8 @@
 //! and arbitrary garbage is rejected without panicking.
 
 use kiss_core::checker::Engine;
+use kiss_obs::json::Json;
 use kiss_obs::TraceId;
-use kiss_seq::StoreKind;
 use kiss_serve::protocol::{
     decode_request, decode_response, CacheStatus, FrameError, Op, Request, Response,
     MAX_FRAME_BYTES,
@@ -16,24 +16,23 @@ fn opt_u64() -> BoxedStrategy<Option<u64>> {
 }
 
 /// Arbitrary requests: printable-unicode ids/sources/targets (quotes,
-/// backslashes, and multi-byte characters included), every engine and
-/// store, and each budget override present or absent.
+/// backslashes, and multi-byte characters included), every engine, and
+/// each budget override present or absent.
 fn request_strategy() -> BoxedStrategy<Request> {
     (
         ("\\PC*", "\\PC*", prop_oneof![Just(None), "\\PC*".prop_map(Some)]),
         (
             prop::sample::select(vec![Engine::Explicit, Engine::Summary, Engine::Bfs]),
-            prop::sample::select(vec![StoreKind::Legacy, StoreKind::Cow]),
             0usize..4,
         ),
-        (opt_u64(), opt_u64(), opt_u64(), any::<bool>(), 1usize..9),
+        (opt_u64(), opt_u64(), opt_u64(), any::<bool>()),
         prop_oneof![Just(TraceId::NONE), (1u64..u64::MAX).prop_map(TraceId)],
     )
         .prop_map(
             |(
                 (id, source, target),
-                (engine, store, max_ts),
-                (max_steps, max_states, timeout_ms, no_cache, explore_jobs),
+                (engine, max_ts),
+                (max_steps, max_states, timeout_ms, no_cache),
                 trace,
             )| {
                 Request {
@@ -44,13 +43,11 @@ fn request_strategy() -> BoxedStrategy<Request> {
                     },
                     source,
                     engine,
-                    store,
                     max_ts,
                     max_steps,
                     max_states,
                     timeout_ms,
                     no_cache,
-                    explore_jobs,
                     trace,
                 }
             },
@@ -72,6 +69,27 @@ proptest! {
     fn equal_round_tripped_requests_keep_their_cache_key(request in request_strategy()) {
         let decoded = decode_request(&request.to_json()).unwrap();
         prop_assert_eq!(decoded.cache_key(), request.cache_key());
+    }
+
+    #[test]
+    fn retired_store_and_explore_jobs_keys_are_ignored(request in request_strategy()) {
+        // Older clients still send both keys; such a frame must decode
+        // to the same request, and so hit the same cache entry.
+        let line = request.to_json();
+        let legacy = format!(
+            "{},\"store\":\"legacy\",\"explore_jobs\":4}}",
+            &line[..line.len() - 1]
+        );
+        let decoded = decode_request(&legacy).unwrap();
+        prop_assert_eq!(decoded.cache_key(), request.cache_key());
+        prop_assert_eq!(decoded, request);
+    }
+
+    #[test]
+    fn requests_never_emit_retired_keys(request in request_strategy()) {
+        let frame = Json::parse(&request.to_json()).unwrap();
+        prop_assert!(frame.get("store").is_none());
+        prop_assert!(frame.get("explore_jobs").is_none());
     }
 
     #[test]
