@@ -6,7 +6,7 @@
 //!     [--quick] [--iters <n>] [--jobs <n>] [--out <path>] [--compare <path>]
 //! ```
 //!
-//! Three measurements, written as one JSON object (default
+//! Four measurements, written as one JSON object (default
 //! `BENCH_seq.json`, the checked-in baseline) together with the
 //! `hardware_threads` of the measuring machine:
 //!
@@ -15,6 +15,10 @@
 //!   pipeline (the suite is parsed once, outside the timed region);
 //!   wall-clock is the median of `--iters` iterations and steps/sec
 //!   divides the (deterministic) step total by it.
+//! * **ltl** — the LTL product engine (`ProductChecker`) on the
+//!   spinlock pair and the `G !bad` differential corpus at `MAX` 0 and
+//!   1, transformed and lowered outside the timed region; reported
+//!   like an engine, in product expansions per second.
 //! * **table1** — an end-to-end corpus run at a reduced per-field
 //!   budget, once with `jobs = 1` and once with `--jobs` workers, so
 //!   the serial/parallel ratio is recorded alongside the raw numbers.
@@ -23,9 +27,10 @@
 //!
 //! `--quick` shrinks the iteration count and the table budget for CI
 //! smoke use. `--compare <path>` reads a previously written baseline
-//! and exits 1 if any engine's steps/sec regressed more than 30%
-//! against it, or if the BFS store-bytes footprint grew more than 50%
-//! (the memory gate only when the baseline records that section) —
+//! and exits 1 if any engine's or the LTL product's steps/sec regressed
+//! more than 30% against it, or if the BFS store-bytes footprint grew
+//! more than 50% (the LTL and memory gates only when the baseline
+//! records those sections) —
 //! engine throughput and store footprint are workload-independent
 //! across modes, so a `--quick` run may be compared against a full
 //! baseline (the table numbers are informational and never gated).
@@ -35,8 +40,11 @@ use std::time::Instant;
 
 use kiss_bench::runner::default_jobs;
 use kiss_core::checker::{Engine, Kiss};
-use kiss_drivers::table::check_corpus_parallel;
 use kiss_core::supervisor::Supervisor;
+use kiss_core::transform::{transform, TransformConfig};
+use kiss_drivers::table::check_corpus_parallel;
+use kiss_exec::Module;
+use kiss_ltl::{Buchi, ProductChecker, ResolvedAtom};
 use kiss_obs::json::Json;
 use kiss_seq::Budget;
 
@@ -111,6 +119,65 @@ fn run_suite(engine: Engine, programs: &[kiss_lang::hir::Program], reps: usize) 
     steps
 }
 
+/// The LTL leg's programs and formulas: the spinlock pair under the
+/// response property, and the `G !bad` corpus of the product engine's
+/// differential suite.
+const LTL_CORPUS: &[(&str, &str)] = &[
+    (
+        "int locked; void worker() { locked = 0; }
+         void main() { locked = 1; async worker(); while (locked == 1) { skip; } }",
+        "G (locked -> F !locked)",
+    ),
+    (
+        "int locked; void worker() { skip; }
+         void main() { locked = 1; async worker(); while (locked == 1) { skip; } }",
+        "G (locked -> F !locked)",
+    ),
+    ("int bad; void main() { bad = 1; }", "G !bad"),
+    ("int bad; int x; void main() { x = 0; if (x == 1) { bad = 1; } }", "G !bad"),
+    ("int bad; int x; void main() { x = 2; if (x == 2) { bad = 1; } }", "G !bad"),
+    ("int bad; int i; void main() { while (i != 3) { i = i + 1; } bad = 1; }", "G !bad"),
+    ("int bad; void worker() { bad = 1; } void main() { async worker(); }", "G !bad"),
+    (
+        "int bad; int flag; void worker() { if (flag == 1) { bad = 1; } }
+         void main() { async worker(); flag = 1; }",
+        "G !bad",
+    ),
+    ("int bad; void main() { choice { skip; bad = 1; } }", "G !bad"),
+];
+
+/// Each [`LTL_CORPUS`] entry transformed at `MAX` 0 and 1 and lowered,
+/// with its negated-formula automaton and resolved atoms.
+fn ltl_cases() -> Vec<(Module, Buchi, Vec<ResolvedAtom>)> {
+    let mut cases = Vec::new();
+    for (src, formula) in LTL_CORPUS {
+        let program = kiss_lang::parse_and_lower(src).expect("LTL corpus parses");
+        let buchi = Buchi::for_negation(&kiss_ltl::parse(formula).expect("formula parses"));
+        for max_ts in 0..=1 {
+            let cfg = TransformConfig { max_ts, race: None, alias_prune: true };
+            let module = Module::lower(transform(&program, &cfg).expect("transforms").program);
+            let atoms = kiss_ltl::resolve_atoms(&module.program, &buchi.atoms).expect("atoms");
+            cases.push((module, buchi.clone(), atoms));
+        }
+    }
+    cases
+}
+
+/// `reps` product explorations of every LTL case; returns the summed
+/// expansion count.
+fn run_ltl(cases: &[(Module, Buchi, Vec<ResolvedAtom>)], reps: usize) -> u64 {
+    let mut steps = 0u64;
+    for _ in 0..reps {
+        for (module, buchi, atoms) in cases {
+            let (_, stats) = ProductChecker::new(module, buchi, atoms.clone())
+                .with_budget(Budget::steps_states(2_000_000, 60_000))
+                .check_with_stats();
+            steps += stats.steps;
+        }
+    }
+    steps
+}
+
 fn median(mut xs: Vec<u64>) -> u64 {
     xs.sort_unstable();
     xs[xs.len() / 2]
@@ -152,30 +219,38 @@ fn steps_per_sec(steps: u64, wall_us: u64) -> u64 {
     (steps as f64 * 1_000_000.0 / wall_us.max(1) as f64) as u64
 }
 
-/// Returns the gates that failed vs `baseline`: any engine that
-/// regressed >30% in steps/sec, and — when the baseline records a
-/// memory section — a BFS store-bytes footprint that grew >50%.
+/// Returns the gates that failed vs `baseline`: any engine — and, when
+/// the baseline records it, the LTL product — that regressed >30% in
+/// steps/sec, and, when the baseline records a memory section, a BFS
+/// store-bytes footprint that grew >50%.
 fn regressions(current: &str, baseline: &str) -> Result<Vec<String>, String> {
     let cur = Json::parse(current).ok_or("current result does not parse")?;
     let base = Json::parse(baseline).ok_or("baseline does not parse")?;
     let mut failed = Vec::new();
-    let engines = base.get("engines").and_then(Json::as_obj).ok_or("baseline has no engines")?;
-    for (name, b) in engines {
+    let mut gate_rate = |name: &str, b: &Json, c: Option<&Json>| -> Result<(), String> {
         let b_rate = b.get("steps_per_sec").and_then(Json::as_u64).ok_or("bad baseline rate")?;
-        let c_rate = cur
-            .get("engines")
-            .and_then(|e| e.get(name))
+        let c_rate = c
             .and_then(|e| e.get("steps_per_sec"))
             .and_then(Json::as_u64)
-            .ok_or_else(|| format!("current run has no rate for engine {name}"))?;
+            .ok_or_else(|| format!("current run has no rate for {name}"))?;
         let floor = (b_rate as f64) * 0.70;
         println!(
             "compare {name}: current {c_rate} steps/s vs baseline {b_rate} (floor {})",
             floor as u64
         );
         if (c_rate as f64) < floor {
-            failed.push(name.clone());
+            failed.push(name.to_string());
         }
+        Ok(())
+    };
+    let engines = base.get("engines").and_then(Json::as_obj).ok_or("baseline has no engines")?;
+    for (name, b) in engines {
+        gate_rate(name, b, cur.get("engines").and_then(|e| e.get(name)))?;
+    }
+    // Older baselines predate the LTL leg; its gate only arms once a
+    // baseline carrying it is checked in.
+    if let Some(b) = base.get("ltl") {
+        gate_rate("ltl", b, cur.get("ltl"))?;
     }
     // Older baselines predate the memory section; the gate only arms
     // once a baseline carrying it is checked in.
@@ -229,6 +304,19 @@ fn main() {
         ));
     }
 
+    let cases = ltl_cases();
+    let ltl_reps = if opts.quick { 20 } else { 50 };
+    let mut walls = Vec::with_capacity(opts.iters);
+    let mut ltl_steps = 0u64;
+    for _ in 0..opts.iters {
+        let t0 = Instant::now();
+        ltl_steps = run_ltl(&cases, ltl_reps);
+        walls.push(t0.elapsed().as_micros() as u64);
+    }
+    let ltl_wall_us = median(walls);
+    let ltl_rate = steps_per_sec(ltl_steps, ltl_wall_us);
+    println!("ltl: {ltl_steps} steps, median {ltl_wall_us} us, {ltl_rate} steps/s");
+
     // A reduced per-field budget keeps the end-to-end leg tractable;
     // the serial/parallel ratio is what the baseline tracks.
     let budget = if opts.quick {
@@ -256,6 +344,8 @@ fn main() {
     let json = format!(
         "{{\"version\":3,\"hardware_threads\":{hardware_threads},\"quick\":{},\"iters\":{},\
          \"engines\":{{{}}},\
+         \"ltl\":{{\"steps\":{ltl_steps},\"wall_us_median\":{ltl_wall_us},\
+         \"steps_per_sec\":{ltl_rate}}},\
          \"table1\":{{\"budget_max_steps\":{},\"budget_max_states\":{},\
          \"serial_wall_us\":{serial_us},\"parallel_wall_us\":{parallel_us},\"jobs\":{}}},\
          \"memory\":{{\"bfs_states_stored\":{stored},\"bfs_store_bytes\":{store_bytes},\
@@ -282,7 +372,7 @@ fn main() {
             }
         };
         match regressions(&json, &baseline) {
-            Ok(failed) if failed.is_empty() => println!("no engine regressed >30%"),
+            Ok(failed) if failed.is_empty() => println!("no engine or ltl regressed >30%"),
             Ok(failed) => {
                 eprintln!("perf_baseline: steps/sec regressed >30% on: {}", failed.join(", "));
                 std::process::exit(1);

@@ -158,6 +158,18 @@ fn every_engine_reports_an_indirect_call_arity_error() {
         assert!(stdout.contains("with 0 argument(s), expected 1"), "{mode:?}: {stdout}");
     }
     std::fs::remove_file(path).ok();
+    // The interleaving oracle applies the same check to `async`.
+    let path = write_temp(
+        "arity_async",
+        "int g; void w(int a) { g = a; } void main() { fn f; f = w; async f(); }",
+    );
+    for mode in [&[][..], &["--balanced"]] {
+        let out = kissc().args(["explore"]).arg(&path).args(mode).output().expect("run kissc");
+        assert_eq!(out.status.code(), Some(1), "explore {mode:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("with 0 argument(s), expected 1"), "explore {mode:?}: {stdout}");
+    }
+    std::fs::remove_file(path).ok();
 }
 
 #[test]

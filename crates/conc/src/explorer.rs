@@ -394,28 +394,13 @@ impl<'a> Explorer<'a> {
             }
             Instr::Call { dest, target, args } => {
                 let mut config = node.config.clone();
+                let mut arg_vals = Vec::new();
                 let resolved = {
                     let env = ConcEnv { module: self.module, config: &mut config, tid };
-                    crate::resolve_target_conc(&env, target)
+                    eval::resolve_call(&env, &self.module.program, target, &args, &mut arg_vals)
                 };
                 match resolved {
                     Ok(callee) => {
-                        let def = self.module.program.func(callee);
-                        if def.param_count as usize != args.len() {
-                            out.push(Succ {
-                                step,
-                                outcome: Err(Failure::Runtime(ExecError::ArityMismatch {
-                                    func: callee,
-                                    expected: def.param_count,
-                                    got: args.len() as u32,
-                                })),
-                            });
-                            return;
-                        }
-                        let arg_vals: Vec<Value> = {
-                            let env = ConcEnv { module: self.module, config: &mut config, tid };
-                            args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                        };
                         config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
                         config.threads[tid].frames.push(Frame::enter(self.module, callee, &arg_vals, dest));
                         self.fast_forward(&mut config, tid);
@@ -430,16 +415,13 @@ impl<'a> Explorer<'a> {
                     out.push(Succ { step, outcome: Err(Failure::Limit) });
                     return;
                 }
+                let mut arg_vals = Vec::new();
                 let resolved = {
                     let env = ConcEnv { module: self.module, config: &mut config, tid };
-                    crate::resolve_target_conc(&env, target)
+                    eval::resolve_call(&env, &self.module.program, target, &args, &mut arg_vals)
                 };
                 match resolved {
                     Ok(callee) => {
-                        let arg_vals: Vec<Value> = {
-                            let env = ConcEnv { module: self.module, config: &mut config, tid };
-                            args.iter().map(|a| eval::eval_operand(&env, a)).collect()
-                        };
                         config.threads[tid].frames.last_mut().expect("nonempty").pc += 1;
                         let new_tid = config.threads.len();
                         config.threads.push(ThreadState {

@@ -32,17 +32,3 @@ pub use explorer::{ConcStats, ConcTraceStep, ConcVerdict, Explorer, ScheduleMode
 pub use lockset::{lockset_check, LocksetReport, LocksetWarning};
 pub use runner::{Event, RunEnd, Runner};
 pub use vclock::{hb_check, HbRace, HbReport};
-
-use kiss_exec::{Env, ExecError, Value};
-use kiss_lang::hir::{CallTarget, FuncId};
-
-/// Resolves a call target to a function id in a concurrent context.
-pub(crate) fn resolve_target_conc(env: &impl Env, target: CallTarget) -> Result<FuncId, ExecError> {
-    match target {
-        CallTarget::Direct(f) => Ok(f),
-        CallTarget::Indirect(v) => match env.read_var(v) {
-            Value::Fn(f) => Ok(f),
-            other => Err(ExecError::NotAFunction { found: other.type_name() }),
-        },
-    }
-}

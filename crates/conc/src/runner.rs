@@ -351,31 +351,25 @@ impl<'a> Runner<'a> {
                 }
             }
             Instr::Call { dest, target, args } => {
-                let callee = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match crate::resolve_target_conc(&env, target) {
-                        Ok(f) => f,
-                        Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                    }
-                };
-                let arg_vals: Vec<Value> = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    args.iter().map(|a| eval::eval_operand(&env, a)).collect()
+                let mut arg_vals = Vec::new();
+                let env = ConcEnv { module: self.module, config, tid };
+                let resolved =
+                    eval::resolve_call(&env, &self.module.program, target, &args, &mut arg_vals);
+                let callee = match resolved {
+                    Ok(f) => f,
+                    Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
                 };
                 bump(config, 1);
                 config.threads[tid].frames.push(Frame::enter(self.module, callee, &arg_vals, dest));
             }
             Instr::Async { target, args } => {
-                let callee = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    match crate::resolve_target_conc(&env, target) {
-                        Ok(f) => f,
-                        Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
-                    }
-                };
-                let arg_vals: Vec<Value> = {
-                    let env = ConcEnv { module: self.module, config, tid };
-                    args.iter().map(|a| eval::eval_operand(&env, a)).collect()
+                let mut arg_vals = Vec::new();
+                let env = ConcEnv { module: self.module, config, tid };
+                let resolved =
+                    eval::resolve_call(&env, &self.module.program, target, &args, &mut arg_vals);
+                let callee = match resolved {
+                    Ok(f) => f,
+                    Err(e) => return StepResult::Ended(RunEnd::RuntimeError(e)),
                 };
                 bump(config, 1);
                 let child = config.threads.len() as u32;
@@ -586,6 +580,17 @@ mod tests {
         });
         assert_eq!(locks, 0);
         assert!(accesses >= 2); // read + write of c
+    }
+
+    #[test]
+    fn indirect_call_arity_is_a_runtime_error() {
+        for call in ["f();", "async f();"] {
+            let src =
+                format!("int g; void w(int a) {{ g = a; }} void main() {{ fn f; f = w; {call} }}");
+            let end = Runner::new(&module(&src)).run(0, |_| {});
+            let arity = ExecError::ArityMismatch { func: FuncId(0), expected: 1, got: 0 };
+            assert_eq!(end, RunEnd::RuntimeError(arity), "{call}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! organised; they implement [`Env`] and get the entire statement
 //! semantics from this module for free.
 
-use kiss_lang::hir::{BinOp, Cond, Operand, Place, Rvalue, StructId, UnOp, VarRef};
+use kiss_lang::hir::{
+    BinOp, CallTarget, Cond, FuncId, Operand, Place, Program, Rvalue, StructId, UnOp, VarRef,
+};
 
 use crate::error::ExecError;
 use crate::value::{Addr, Value};
@@ -32,6 +34,38 @@ pub trait Env {
     fn addr_of_var(&self, v: VarRef) -> Addr;
     /// Allocates a struct instance and returns the object index.
     fn malloc(&mut self, sid: StructId) -> u32;
+}
+
+/// Resolves a call's callee, checks its arity, and evaluates the
+/// arguments into `arg_vals` (cleared first). Every engine dispatches
+/// `Call` and `Async` through this, so they agree on which calls are
+/// runtime errors.
+///
+/// # Errors
+///
+/// Fails if an indirect target does not hold a function, or if the
+/// argument count differs from the callee's parameter count.
+pub fn resolve_call(
+    env: &impl Env,
+    program: &Program,
+    target: CallTarget,
+    args: &[Operand],
+    arg_vals: &mut Vec<Value>,
+) -> Result<FuncId, ExecError> {
+    let callee = match target {
+        CallTarget::Direct(f) => f,
+        CallTarget::Indirect(v) => match env.read_var(v) {
+            Value::Fn(f) => f,
+            other => return Err(ExecError::NotAFunction { found: other.type_name() }),
+        },
+    };
+    let expected = program.func(callee).param_count;
+    if expected as usize != args.len() {
+        return Err(ExecError::ArityMismatch { func: callee, expected, got: args.len() as u32 });
+    }
+    arg_vals.clear();
+    arg_vals.extend(args.iter().map(|a| eval_operand(env, a)));
+    Ok(callee)
 }
 
 /// Evaluates an operand.

@@ -20,5 +20,5 @@ pub mod value;
 pub use cfg::{FuncBody, Instr, InstrMeta, Module};
 pub use cow::CowVec;
 pub use error::ExecError;
-pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, Env};
+pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, resolve_call, Env};
 pub use value::{Addr, HeapObj, Memory, Value};

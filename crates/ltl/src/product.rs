@@ -4,8 +4,11 @@
 //! same layered BFS + interned-store machinery as the sequential BFS
 //! engine: configurations fingerprint through [`Config::fingerprint`],
 //! product fingerprints fold in the automaton state, and parent edges
-//! hold [`SegId`]s so a counterexample reconstructs lazily. Liveness
-//! run semantics over the KISS-transformed program:
+//! hold [`SegId`]s so a counterexample reconstructs lazily. Each
+//! product edge is one [`kiss_seq::step`] — the instruction semantics
+//! the sequential engines use — paired with a Büchi transition. The
+//! liveness run semantics over the KISS-transformed program are the
+//! policy around that step:
 //!
 //! * a *terminated* configuration (empty stack) stutters — the final
 //!   state repeats forever, so `G`-type obligations keep being judged
@@ -25,13 +28,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use kiss_exec::{eval, Env as _, ExecError, Instr, Module};
+use kiss_exec::{ExecError, Module, Value};
 use kiss_obs::{Obs, Span, TraceId};
-use kiss_seq::config::{fingerprint_of, Config, Frame, SeqEnv};
-use kiss_seq::explicit::resolve_call;
+use kiss_seq::config::{fingerprint_of, Config};
 use kiss_seq::store::{SegId, SegmentInterner, StateId, VisitedTable};
 use kiss_seq::{
-    BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter, TraceStep,
+    step, BoundReason, Budget, CancelToken, EngineStats, ErrorTrace, Meter, Step, TraceStep,
 };
 use kiss_lang::hir::Origin;
 use kiss_lang::Program;
@@ -87,13 +89,6 @@ pub enum LtlVerdict {
     /// The program performed an operation with undefined semantics.
     RuntimeError(ExecError, ErrorTrace),
 }
-
-/// Program-level successors of one configuration: each successor with
-/// the step that produced it (`None` marks a terminal stutter).
-type ProgStep = Result<Vec<(Config, Option<TraceStep>)>, (ExecError, TraceStep)>;
-
-/// Product-level successors of one node.
-type Expanded = Result<Vec<(Config, u32, Option<TraceStep>)>, (ExecError, TraceStep)>;
 
 /// The product-exploration checker.
 pub struct ProductChecker<'a> {
@@ -171,122 +166,41 @@ impl<'a> ProductChecker<'a> {
         state.pos.iter().all(|&a| truth(a)) && state.neg.iter().all(|&a| !truth(a))
     }
 
-    /// Executes the single instruction at `config`'s top frame,
-    /// returning every program successor. Mirrors the BFS engine's
-    /// segment semantics at per-instruction granularity (the Büchi
-    /// automaton may branch at every step).
-    fn step_config(&self, config: &Config) -> ProgStep {
-        let module = self.module;
+    /// The program successors of `config` into `out` (cleared first),
+    /// each with the step that produced it (`None` marks a terminal
+    /// stutter). The liveness policy around [`step`] (see the module
+    /// docs): one step per edge, since the Büchi automaton may branch at
+    /// every step; a false `assert` prunes like a false `assume`; RAISE
+    /// branch arms are dropped; a terminated configuration stutters.
+    fn successors(
+        &self,
+        config: &Config,
+        args: &mut Vec<Value>,
+        out: &mut Vec<(Config, Option<TraceStep>)>,
+    ) -> Result<(), (ExecError, TraceStep)> {
+        out.clear();
         let Some(frame) = config.stack.last() else {
-            // Terminated: the final state repeats forever.
-            return Ok(vec![(config.clone(), None)]);
+            out.push((config.clone(), None));
+            return Ok(());
         };
         let (func, pc) = (frame.func, frame.pc);
-        let body = module.body(func);
+        let body = self.module.body(func);
         let meta = body.meta[pc];
-        let step = TraceStep { func, pc, origin: meta.origin, span: meta.span };
-        let mut config = config.clone();
-        match &body.instrs[pc] {
-            Instr::Assign(place, rv) => {
-                let mut env = SeqEnv { module, config: &mut config };
-                if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                    return Err((e, step));
-                }
-                config.stack.last_mut().expect("nonempty").pc += 1;
-                Ok(vec![(config, Some(step))])
-            }
-            // In LTL mode a false assert prunes like a false assume:
-            // assertion failures are the safety checker's verdict, and
-            // a failed path has no infinite continuation.
-            Instr::Assert(cond) | Instr::Assume(cond) => {
-                let env = SeqEnv { module, config: &mut config };
-                match eval::eval_cond(&env, cond) {
-                    Ok(false) => Ok(Vec::new()),
-                    Ok(true) => {
-                        config.stack.last_mut().expect("nonempty").pc += 1;
-                        Ok(vec![(config, Some(step))])
-                    }
-                    Err(e) => Err((e, step)),
-                }
-            }
-            Instr::Call { dest, target, args } => {
-                let mut arg_vals = Vec::new();
-                let resolved = {
-                    let env = SeqEnv { module, config: &mut config };
-                    resolve_call(&env, module, *target, args, &mut arg_vals)
-                };
-                match resolved {
-                    Ok(callee) => {
-                        config.stack.last_mut().expect("nonempty").pc += 1;
-                        config.stack.push(Frame::enter(module, callee, &arg_vals, *dest));
-                        Ok(vec![(config, Some(step))])
-                    }
-                    Err(e) => Err((e, step)),
-                }
-            }
-            Instr::Async { .. } => Err((ExecError::AsyncInSequential, step)),
-            Instr::Return(op) => {
-                let ret = {
-                    let env = SeqEnv { module, config: &mut config };
-                    op.map(|o| eval::eval_operand(&env, &o))
-                        .unwrap_or(kiss_exec::Value::Null)
-                };
-                let finished = config.stack.pop().expect("nonempty");
-                if !config.stack.is_empty() {
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        if let Err(e) =
-                            eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret))
-                        {
-                            return Err((e, step));
-                        }
-                    }
-                }
-                Ok(vec![(config, Some(step))])
-            }
-            Instr::Jump(t) => {
-                config.stack.last_mut().expect("nonempty").pc = *t;
-                Ok(vec![(config, Some(step))])
-            }
-            Instr::NondetJump(targets) => {
-                let mut out = Vec::with_capacity(targets.len());
-                for &t in targets {
-                    // The transformation's RAISE arms truncate a thread
-                    // mid-run — prefix coverage for safety checking. A
-                    // truncated thread models an unfinished schedule,
-                    // not an infinite behavior, so liveness excludes
-                    // those arms: every started thread runs to
-                    // completion, and F-obligations are judged only
-                    // against complete balanced runs.
-                    if body.meta[t].origin == Origin::Raise {
-                        continue;
-                    }
-                    let mut c = config.clone();
+        let ts = TraceStep { func, pc, origin: meta.origin, span: meta.span };
+        let mut next = config.clone();
+        match step(self.module, &mut next, args) {
+            Step::Next => out.push((next, Some(ts))),
+            Step::Fail | Step::Pruned => {}
+            Step::Error(e) => return Err((e, ts)),
+            Step::Branch(targets) => {
+                for &t in targets.iter().filter(|&&t| body.meta[t].origin != Origin::Raise) {
+                    let mut c = next.clone();
                     c.stack.last_mut().expect("nonempty").pc = t;
-                    out.push((c, Some(step)));
-                }
-                Ok(out)
-            }
-            Instr::AtomicBegin | Instr::AtomicEnd => {
-                config.stack.last_mut().expect("nonempty").pc += 1;
-                Ok(vec![(config, Some(step))])
-            }
-        }
-    }
-
-    /// Expands one product node: its program successors paired with
-    /// every Büchi successor whose label holds.
-    fn expand(&self, config: &Config, q: u32) -> Expanded {
-        let succs = self.step_config(config)?;
-        let mut out = Vec::new();
-        for (c2, step) in &succs {
-            for &q2 in &self.buchi.states[q as usize].succs {
-                if self.label_holds(&self.buchi.states[q2 as usize], c2) {
-                    out.push((c2.clone(), q2, *step));
+                    out.push((c, Some(ts)));
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Runs the product exploration to a verdict plus engine stats.
@@ -353,6 +267,8 @@ impl<'a> ProductChecker<'a> {
             }};
         }
 
+        let mut args = Vec::new();
+        let mut succs = Vec::new();
         while !frontier.is_empty() {
             frontier_peak = frontier_peak.max(frontier.len());
             let mut next: Vec<(StateId, u32, Config)> = Vec::new();
@@ -360,34 +276,37 @@ impl<'a> ProductChecker<'a> {
                 if let Err(reason) = meter.advance(1) {
                     bound!(reason);
                 }
-                match self.expand(config, *q) {
-                    Err((e, step)) => {
-                        let mut steps = Self::reconstruct(&parents, &interner, *id);
-                        steps.push(step);
-                        let trace =
-                            ErrorTrace { steps, globals: config.mem.globals.to_vec() };
-                        return (LtlVerdict::RuntimeError(e, trace), stats!());
-                    }
-                    Ok(succs) => {
-                        for (c2, q2, step) in succs {
-                            let cfp = c2.fingerprint();
-                            let fp = fingerprint_of(&(cfp.0, cfp.1, q2));
-                            let (sid, fresh) = match visited.insert(fp) {
-                                Ok(x) => x,
-                                Err(_) => bound!(BoundReason::StateCap),
-                            };
-                            let seg = match &step {
-                                Some(s) => interner.intern(std::slice::from_ref(s)),
-                                None => SegId::EMPTY,
-                            };
-                            adj[id.0 as usize].push((sid.0, seg));
-                            if fresh {
-                                debug_assert_eq!(sid.0 as usize, parents.len());
-                                parents.push((*id, seg));
-                                adj.push(Vec::new());
-                                accepting.push(self.buchi.states[q2 as usize].accepting);
-                                next.push((sid, q2, c2));
-                            }
+                if let Err((e, step)) = self.successors(config, &mut args, &mut succs) {
+                    let mut steps = Self::reconstruct(&parents, &interner, *id);
+                    steps.push(step);
+                    let trace = ErrorTrace { steps, globals: config.mem.globals.to_vec() };
+                    return (LtlVerdict::RuntimeError(e, trace), stats!());
+                }
+                // Pair each program successor with every Büchi
+                // successor whose label holds.
+                for (c2, step) in &succs {
+                    let mut cfp = None;
+                    for &q2 in &self.buchi.states[*q as usize].succs {
+                        if !self.label_holds(&self.buchi.states[q2 as usize], c2) {
+                            continue;
+                        }
+                        let cfp = *cfp.get_or_insert_with(|| c2.fingerprint());
+                        let fp = fingerprint_of(&(cfp.0, cfp.1, q2));
+                        let (sid, fresh) = match visited.insert(fp) {
+                            Ok(x) => x,
+                            Err(_) => bound!(BoundReason::StateCap),
+                        };
+                        let seg = match step {
+                            Some(s) => interner.intern(std::slice::from_ref(s)),
+                            None => SegId::EMPTY,
+                        };
+                        adj[id.0 as usize].push((sid.0, seg));
+                        if fresh {
+                            debug_assert_eq!(sid.0 as usize, parents.len());
+                            parents.push((*id, seg));
+                            adj.push(Vec::new());
+                            accepting.push(self.buchi.states[q2 as usize].accepting);
+                            next.push((sid, q2, c2.clone()));
                         }
                     }
                 }

@@ -6,7 +6,9 @@
 //! SLAM put effort into short traces because humans read them. This
 //! engine explores configurations in breadth-first order over
 //! *decision points* (nondeterministic branches and loop entries) and
-//! reconstructs the trace through a parent map.
+//! reconstructs the trace through a parent map. It is the breadth-first
+//! frontier policy around [`crate::step`]: each frontier node runs
+//! [`step`] until a [`Step::Branch`] and parks there.
 //!
 //! The BFS frontier stores whole configurations, so it trades memory
 //! for trace quality; prefer the DFS engine for pure verdicts.
@@ -23,14 +25,14 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use kiss_exec::{eval, Env as _, Instr, Module, Value};
+use kiss_exec::{ExecError, Module, Value};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter, BYTES_PER_FINGERPRINT};
 use crate::cancel::CancelToken;
-use crate::config::{Config, Frame, SeqEnv};
-use crate::explicit::resolve_call;
+use crate::config::Config;
 use crate::stats::EngineStats;
+use crate::step::{step, Step};
 use crate::store::{SegId, SegmentInterner, StateCapExceeded, StateId, StoreKind, VisitedTable};
 use crate::verdict::{ErrorTrace, TraceStep, Verdict};
 
@@ -213,13 +215,14 @@ impl<'a> BfsChecker<'a> {
             ..EngineStats::default()
         };
 
-        // Segment steps accumulate into one scratch buffer reused
-        // across segments instead of a fresh allocation per segment.
+        // Segment steps and call arguments accumulate into scratch
+        // buffers reused across segments instead of fresh allocations.
         let mut steps: Vec<TraceStep> = Vec::with_capacity(64);
+        let mut args: Vec<Value> = Vec::new();
         while let Some((config, key)) = frontier.pop_front() {
             // Run the segment to the next decision point (or to an
             // end), collecting its steps.
-            match self.run_segment(config, &mut meter, &mut steps) {
+            match self.run_segment(config, &mut meter, &mut steps, &mut args) {
                 SegmentEnd::Budget(reason) => {
                     return (
                         Verdict::ResourceBound {
@@ -230,22 +233,21 @@ impl<'a> BfsChecker<'a> {
                         stats(&meter, &store, frontier_peak),
                     )
                 }
-                SegmentEnd::Error(mk) => {
+                SegmentEnd::Fail => {
                     let trace = Self::reconstruct(&store, key, std::mem::take(&mut steps));
-                    return (mk(trace), stats(&meter, &store, frontier_peak));
+                    return (Verdict::Fail(trace), stats(&meter, &store, frontier_peak));
+                }
+                SegmentEnd::Error(e) => {
+                    let trace = Self::reconstruct(&store, key, std::mem::take(&mut steps));
+                    return (Verdict::RuntimeError(e, trace), stats(&meter, &store, frontier_peak));
                 }
                 SegmentEnd::Done => {}
-                SegmentEnd::Branch(mut config) => {
+                SegmentEnd::Branch(mut config, targets) => {
                     // The config is parked on its NondetJump; the
                     // alternatives differ only in the top pc, so each
                     // is fingerprinted *before* it exists — by steering
                     // the parked config's pc — and only genuinely new
                     // states pay for a clone.
-                    let frame = config.stack.last().expect("nonempty at a branch");
-                    let body = self.module.body(frame.func);
-                    let Instr::NondetJump(targets) = &body.instrs[frame.pc] else {
-                        unreachable!("Branch ends only at a NondetJump")
-                    };
                     let mut capped = false;
                     match &mut store {
                         BfsStore::Legacy { visited, parents } => {
@@ -372,139 +374,52 @@ impl<'a> BfsChecker<'a> {
         ErrorTrace { steps, globals: Vec::new() }
     }
 
-    /// Runs deterministically until the next NondetJump (returning the
-    /// successor configs), an error, an end, or the budget. The
-    /// executed steps land in `steps` (cleared first), which the caller
-    /// reuses across segments.
-    ///
-    /// Like the DFS engine, instructions are borrowed from the module
-    /// body instead of cloned per executed step — `Call` argument lists
-    /// and `NondetJump` target vectors are heap-backed.
+    /// Runs [`step`] until the next branch (returning the parked
+    /// config), an error, an end, or the budget. The executed steps land
+    /// in `steps` (cleared first); `steps` and the call-argument buffer
+    /// `args` are reused across segments.
     fn run_segment(
         &self,
         mut config: Config,
         meter: &mut Meter,
         steps: &mut Vec<TraceStep>,
-    ) -> SegmentEnd {
+        args: &mut Vec<Value>,
+    ) -> SegmentEnd<'a> {
         let module = self.module;
         steps.clear();
-        loop {
-            let Some(frame) = config.stack.last() else {
-                return SegmentEnd::Done;
-            };
+        while let Some(frame) = config.stack.last() {
             if let Err(reason) = meter.tick() {
                 return SegmentEnd::Budget(reason);
             }
-            let func = frame.func;
-            let pc = frame.pc;
-            let body = module.body(func);
-            let meta = body.meta[pc];
+            let (func, pc) = (frame.func, frame.pc);
+            let meta = module.body(func).meta[pc];
             steps.push(TraceStep { func, pc, origin: meta.origin, span: meta.span });
-            match &body.instrs[pc] {
-                Instr::Assign(place, rv) => {
-                    let mut env = SeqEnv { module, config: &mut config };
-                    if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                        return SegmentEnd::Error(
-                            Box::new(move |t| Verdict::RuntimeError(e, t)),
-                        );
-                    }
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
-                Instr::Assert(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return SegmentEnd::Error(Box::new(Verdict::Fail)),
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Assume(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return SegmentEnd::Done,
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Call { dest, target, args } => {
-                    let mut arg_vals = Vec::new();
-                    let resolved = {
-                        let env = SeqEnv { module, config: &mut config };
-                        resolve_call(&env, module, *target, args, &mut arg_vals)
-                    };
-                    match resolved {
-                        Ok(callee) => {
-                            config.stack.last_mut().expect("nonempty").pc += 1;
-                            config.stack.push(Frame::enter(module, callee, &arg_vals, *dest));
-                        }
-                        Err(e) => {
-                            return SegmentEnd::Error(
-                                Box::new(move |t| Verdict::RuntimeError(e, t)),
-                            )
-                        }
-                    }
-                }
-                Instr::Async { .. } => {
-                    let e = kiss_exec::ExecError::AsyncInSequential;
-                    return SegmentEnd::Error(
-                        Box::new(move |t| Verdict::RuntimeError(e, t)),
-                    );
-                }
-                Instr::Return(op) => {
-                    let ret = {
-                        let env = SeqEnv { module, config: &mut config };
-                        op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                    };
-                    let finished = config.stack.pop().expect("nonempty");
-                    if config.stack.is_empty() {
-                        return SegmentEnd::Done;
-                    }
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        match eval::place_addr(&env, &dest).and_then(|a| env.write_addr(a, ret)) {
-                            Ok(()) => {}
-                            Err(e) => {
-                                return SegmentEnd::Error(
-                                    Box::new(move |t| Verdict::RuntimeError(e, t)),
-                                )
-                            }
-                        }
-                    }
-                }
-                Instr::Jump(t) => {
-                    config.stack.last_mut().expect("nonempty").pc = *t;
-                }
-                Instr::NondetJump(_) => {
-                    // Hand the parked config back; the caller steers its
-                    // pc through the targets, cloning only new states.
-                    return SegmentEnd::Branch(config);
-                }
-                Instr::AtomicBegin | Instr::AtomicEnd => {
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
+            match step(module, &mut config, args) {
+                Step::Next => {}
+                Step::Pruned => return SegmentEnd::Done,
+                Step::Fail => return SegmentEnd::Fail,
+                Step::Error(e) => return SegmentEnd::Error(e),
+                // Hand the parked config back; the caller steers its pc
+                // through the targets, cloning only new states.
+                Step::Branch(targets) => return SegmentEnd::Branch(config, targets),
             }
         }
+        SegmentEnd::Done
     }
 }
 
-enum SegmentEnd {
+/// How a segment ended. The segment's steps are in the caller's scratch
+/// buffer, which is also the tail of any error trace.
+enum SegmentEnd<'m> {
     /// Segment finished (termination or pruned assume).
     Done,
     /// Hit a nondeterministic branch: the configuration parked on its
-    /// `NondetJump`. The segment's steps are in the caller's scratch
-    /// buffer.
-    Branch(Config),
-    /// An error; the closure builds the verdict from the full trace
-    /// (whose tail is the caller's scratch buffer).
-    Error(Box<dyn FnOnce(ErrorTrace) -> Verdict>),
+    /// `NondetJump`, with the jump's targets.
+    Branch(Config, &'m [usize]),
+    /// A false assertion.
+    Fail,
+    /// A runtime error.
+    Error(ExecError),
     /// Out of budget, with the axis that tripped.
     Budget(BoundReason),
 }
@@ -513,6 +428,7 @@ enum SegmentEnd {
 mod tests {
     use super::*;
     use crate::explicit::ExplicitChecker;
+    use kiss_exec::Instr;
     use kiss_lang::parse_and_lower;
 
     fn module(src: &str) -> Module {

@@ -5,15 +5,19 @@
 //! finite-state sequential programs; budget-bounded otherwise. This is
 //! the engine KISS feeds the sequentialized program to, playing the
 //! role SLAM plays in the paper's Figure 1.
+//!
+//! The engine is the depth-first frontier policy around
+//! [`crate::step`]: it records a visited state before every `Call` and
+//! branch, follows a branch's first target and stacks the others.
 
-use kiss_exec::{eval, Env, ExecError, Instr, Module, Value};
-use kiss_lang::hir::{CallTarget, FuncId, Operand};
+use kiss_exec::{Instr, Module, Value};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::config::{Config, Frame, SeqEnv};
+use crate::config::Config;
 use crate::stats::EngineStats;
+use crate::step::{step, Step};
 use crate::store::{StoreKind, VisitedSet};
 use crate::verdict::{ErrorTrace, TraceStep, Verdict};
 
@@ -120,21 +124,14 @@ struct Search<'a> {
     frontier_peak: usize,
 }
 
-enum PathEnd {
-    /// Path finished without error (termination, prune, or revisit).
-    Done,
-    /// An error ends the whole search.
-    Stop(Verdict),
-}
-
 impl Search<'_> {
     fn run(&mut self) -> Verdict {
         while let Some((config, trace_len)) = self.pending.pop() {
             self.trace.truncate(trace_len);
-            match self.run_path(config) {
-                PathEnd::Done => self.paths += 1,
-                PathEnd::Stop(v) => return v,
+            if let Err(v) = self.run_path(config) {
+                return v;
             }
+            self.paths += 1;
         }
         Verdict::Pass
     }
@@ -157,168 +154,56 @@ impl Search<'_> {
         }
     }
 
-    /// Runs one path to completion, pushing alternatives onto
-    /// `self.pending` at nondeterministic branch points.
-    ///
-    /// Instructions are **borrowed** from the module body rather than
-    /// cloned per executed step: `Call` argument lists and `NondetJump`
-    /// target vectors are heap-backed, and the per-step clone showed up
-    /// as the single largest line in the interpreter profile.
-    fn run_path(&mut self, mut config: Config) -> PathEnd {
+    /// Runs one path to completion (termination, prune or revisit),
+    /// pushing alternatives onto `self.pending` at nondeterministic
+    /// branch points. `Err` carries the verdict that ends the search.
+    fn run_path(&mut self, mut config: Config) -> Result<(), Verdict> {
         let module = self.module;
-        loop {
-            let Some(frame) = config.stack.last() else {
-                return PathEnd::Done; // program finished
-            };
+        while let Some(frame) = config.stack.last() {
             if let Err(reason) = self.meter.tick() {
-                return PathEnd::Stop(Verdict::ResourceBound {
+                return Err(Verdict::ResourceBound {
                     steps: self.meter.usage.steps,
                     states: self.meter.usage.states,
                     reason,
                 });
             }
-            let func = frame.func;
-            let pc = frame.pc;
+            let (func, pc) = (frame.func, frame.pc);
             let body = module.body(func);
             let meta = body.meta[pc];
             self.trace.push(TraceStep { func, pc, origin: meta.origin, span: meta.span });
-
-            match &body.instrs[pc] {
-                Instr::Assign(place, rv) => {
-                    let mut env = SeqEnv { module, config: &mut config };
-                    if let Err(e) = eval::exec_assign(&mut env, place, rv) {
-                        return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config)));
+            // Every cycle in lowered code passes through a Call or a
+            // NondetJump (the `iter` header), so recording the state
+            // there is enough for the search to terminate.
+            if matches!(body.instrs[pc], Instr::Call { .. } | Instr::NondetJump(_))
+                && !self.record(&config)?
+            {
+                return Ok(());
+            }
+            match step(module, &mut config, &mut self.arg_scratch) {
+                Step::Next => {}
+                Step::Pruned => return Ok(()),
+                Step::Fail => return Err(Verdict::Fail(self.snapshot(&config))),
+                Step::Error(e) => return Err(Verdict::RuntimeError(e, self.snapshot(&config))),
+                Step::Branch(targets) => {
+                    // No target: a dead end.
+                    let Some((&first, rest)) = targets.split_first() else { return Ok(()) };
+                    self.pending.reserve(rest.len());
+                    for &alt in rest.iter().rev() {
+                        let mut alt_config = config.clone();
+                        alt_config.stack.last_mut().expect("nonempty").pc = alt;
+                        self.pending.push((alt_config, self.trace.len()));
                     }
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                }
-                Instr::Assert(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return PathEnd::Stop(Verdict::Fail(self.snapshot(&config))),
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    }
-                }
-                Instr::Assume(cond) => {
-                    let env = SeqEnv { module, config: &mut config };
-                    match eval::eval_cond(&env, cond) {
-                        Ok(true) => config.stack.last_mut().expect("nonempty").pc += 1,
-                        Ok(false) => return PathEnd::Done, // pruned path
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    }
-                }
-                Instr::Call { dest, target, args } => {
-                    match self.record(&config) {
-                        Ok(true) => {}
-                        Ok(false) => return PathEnd::Done,
-                        Err(v) => return PathEnd::Stop(v),
-                    }
-                    let resolved = {
-                        let env = SeqEnv { module, config: &mut config };
-                        resolve_call(&env, module, *target, args, &mut self.arg_scratch)
-                    };
-                    let callee = match resolved {
-                        Ok(f) => f,
-                        Err(e) => return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config))),
-                    };
-                    // Advance the caller past the call before pushing.
-                    config.stack.last_mut().expect("nonempty").pc += 1;
-                    let frame = Frame::enter(module, callee, &self.arg_scratch, *dest);
-                    config.stack.push(frame);
-                }
-                Instr::Async { .. } => {
-                    return PathEnd::Stop(Verdict::RuntimeError(
-                        kiss_exec::ExecError::AsyncInSequential,
-                        self.snapshot(&config),
-                    ));
-                }
-                Instr::Return(op) => {
-                    let ret_val = {
-                        let env = SeqEnv { module, config: &mut config };
-                        op.map(|o| eval::eval_operand(&env, &o)).unwrap_or(Value::Null)
-                    };
-                    let finished = config.stack.pop().expect("nonempty");
-                    if config.stack.is_empty() {
-                        return PathEnd::Done;
-                    }
-                    if let Some(dest) = finished.dest {
-                        let mut env = SeqEnv { module, config: &mut config };
-                        if let Err(e) = eval::place_addr(&env, &dest)
-                            .and_then(|addr| env.write_addr(addr, ret_val))
-                        {
-                            return PathEnd::Stop(Verdict::RuntimeError(e, self.snapshot(&config)));
-                        }
-                    }
-                }
-                Instr::Jump(target) => {
-                    // No visited check here: every cycle in lowered code
-                    // passes through a NondetJump (the `iter` header) or
-                    // a Call, which record states.
-                    config.stack.last_mut().expect("nonempty").pc = *target;
-                }
-                Instr::NondetJump(targets) => {
-                    match self.record(&config) {
-                        Ok(true) => {}
-                        Ok(false) => return PathEnd::Done,
-                        Err(v) => return PathEnd::Stop(v),
-                    }
-                    match targets.split_first() {
-                        None => return PathEnd::Done, // no branch: dead end
-                        Some((&first, rest)) => {
-                            self.pending.reserve(rest.len());
-                            for &alt in rest.iter().rev() {
-                                let mut alt_config = config.clone();
-                                alt_config.stack.last_mut().expect("nonempty").pc = alt;
-                                self.pending.push((alt_config, self.trace.len()));
-                            }
-                            self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
-                            config.stack.last_mut().expect("nonempty").pc = first;
-                        }
-                    }
-                }
-                Instr::AtomicBegin | Instr::AtomicEnd => {
-                    // Atomicity is vacuous sequentially.
-                    config.stack.last_mut().expect("nonempty").pc += 1;
+                    self.frontier_peak = self.frontier_peak.max(self.pending.len() + 1);
+                    config.stack.last_mut().expect("nonempty").pc = first;
                 }
             }
         }
+        Ok(())
     }
 
     fn snapshot(&self, config: &Config) -> ErrorTrace {
         ErrorTrace { steps: self.trace.clone(), globals: config.mem.globals.to_vec() }
     }
-}
-
-/// Resolves a call target to a function id.
-fn resolve_target(env: &impl Env, target: CallTarget) -> Result<FuncId, ExecError> {
-    match target {
-        CallTarget::Direct(f) => Ok(f),
-        CallTarget::Indirect(v) => match env.read_var(v) {
-            Value::Fn(f) => Ok(f),
-            other => Err(ExecError::NotAFunction { found: other.type_name() }),
-        },
-    }
-}
-
-/// Resolves a call's callee, checks its arity, and evaluates the
-/// arguments into `arg_vals` (cleared first). Every sequential engine
-/// and the kiss-ltl product engine dispatch calls through this, so they
-/// agree on which calls are runtime errors.
-pub fn resolve_call(
-    env: &impl Env,
-    module: &Module,
-    target: CallTarget,
-    args: &[Operand],
-    arg_vals: &mut Vec<Value>,
-) -> Result<FuncId, ExecError> {
-    let callee = resolve_target(env, target)?;
-    let expected = module.program.func(callee).param_count;
-    if expected as usize != args.len() {
-        return Err(ExecError::ArityMismatch { func: callee, expected, got: args.len() as u32 });
-    }
-    arg_vals.clear();
-    arg_vals.extend(args.iter().map(|a| eval::eval_operand(env, a)));
-    Ok(callee)
 }
 
 #[cfg(test)]

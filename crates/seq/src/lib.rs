@@ -3,7 +3,7 @@
 //! Sequential program checkers — the substrate the paper delegates to
 //! SLAM. KISS only needs *some* sound-and-complete assertion checker
 //! for sequential programs with finite data (the problem is decidable,
-//! paper refs [34, 37]); this crate provides two:
+//! paper refs [34, 37]); this crate provides three:
 //!
 //! * [`explicit::ExplicitChecker`] — whole-configuration depth-first
 //!   search with visited-state hashing and resource budgets. Produces
@@ -17,8 +17,10 @@
 //!   returning minimal-depth counterexamples (short traces are what a
 //!   human debugging the concurrent program wants to read).
 //!
-//! Both agree on verdicts; an integration test checks this on a program
-//! corpus.
+//! The explicit and BFS engines (and the `kiss-ltl` product engine) are
+//! frontier policies around one instruction interpreter, [`step()`]. All
+//! three engines agree on verdicts; a property test checks this on
+//! random programs.
 
 pub mod bfs;
 pub mod budget;
@@ -26,6 +28,7 @@ pub mod cancel;
 pub mod config;
 pub mod explicit;
 pub mod stats;
+pub mod step;
 pub mod store;
 pub mod summary;
 pub mod verdict;
@@ -35,6 +38,7 @@ pub use budget::{BoundReason, Budget, Meter, Usage};
 pub use cancel::CancelToken;
 pub use explicit::ExplicitChecker;
 pub use stats::EngineStats;
+pub use step::{step, Step};
 pub use store::{
     SegmentInterner, StateCapExceeded, StateId, StoreKind, VisitedSet, VisitedTable,
 };

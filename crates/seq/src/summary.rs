@@ -18,13 +18,12 @@
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-use kiss_exec::{eval, Addr, Env, ExecError, Instr, Memory, Module, Value};
+use kiss_exec::{eval, resolve_call, Addr, Env, ExecError, Instr, Memory, Module, Value};
 use kiss_lang::hir::{FuncId, LocalId, VarRef};
 use kiss_obs::Obs;
 
 use crate::budget::{BoundReason, Budget, Meter};
 use crate::cancel::CancelToken;
-use crate::explicit::resolve_call;
 use crate::stats::EngineStats;
 use crate::store::{StoreKind, VisitedSet};
 use crate::verdict::{ErrorTrace, Verdict};
@@ -306,8 +305,6 @@ impl Engine<'_> {
                     self.note_store(&visited);
                     return Err(Interrupt::Budget(BoundReason::States));
                 }
-                // Borrowed, not cloned: see explicit.rs — per-step
-                // clones of Call/NondetJump payloads are hot-loop cost.
                 match &body.instrs[state.pc] {
                     Instr::Assign(place, rv) => {
                         let mut env = LocalEnv { module: self.module, state: &mut state };
@@ -335,7 +332,7 @@ impl Engine<'_> {
                         let mut arg_vals = Vec::new();
                         let callee = {
                             let env = LocalEnv { module: self.module, state: &mut state };
-                            resolve_call(&env, self.module, *target, args, &mut arg_vals)
+                            resolve_call(&env, &self.module.program, *target, args, &mut arg_vals)
                                 .map_err(Interrupt::Runtime)?
                         };
                         let call_key =
@@ -369,7 +366,7 @@ impl Engine<'_> {
                     }
                     Instr::Jump(target) => {
                         // Cycles always pass through a NondetJump or
-                        // Call, which record states; see explicit.rs.
+                        // Call, which record states.
                         state.pc = *target;
                     }
                     Instr::NondetJump(targets) => {

@@ -8,12 +8,16 @@
 //! forks, so `MAX = 2` behaves as an unbounded `ts`), and check both
 //! directions against the ground-truth interleaving explorer of
 //! `kiss-conc` restricted to balanced (stack-disciplined) schedules.
+//!
+//! The same generator, extended with calls through a function pointer,
+//! also drives a cross-engine differential: the explicit, BFS and
+//! summary engines must agree on what kind of verdict a program gets.
 
 use proptest::prelude::*;
 
 use kiss::conc::{Explorer, ScheduleMode};
 use kiss::exec::Module;
-use kiss::Kiss;
+use kiss::{Budget, Engine, Kiss, KissOutcome};
 
 /// A tiny statement language rendered to KISS-C text.
 #[derive(Debug, Clone)]
@@ -26,6 +30,11 @@ enum S {
     Seq(Box<S>, Box<S>),
     Atomic(Box<S>),
     CallHelper,
+    /// `fp = helper;` or `fp = unary;` (when `unary`), then a call
+    /// through `fp` with one argument (when `arg`) or none. A mismatch,
+    /// locally or because another thread re-pointed `fp` in between,
+    /// is an arity runtime error.
+    CallPtr { unary: bool, arg: bool },
     Skip,
 }
 
@@ -66,6 +75,10 @@ impl S {
                 out.push_str("}\n");
             }
             S::CallHelper => out.push_str("helper();\n"),
+            S::CallPtr { unary, arg } => {
+                out.push_str(if *unary { "fp = unary;\n" } else { "fp = helper;\n" });
+                out.push_str(if *arg { "fp(1);\n" } else { "fp();\n" });
+            }
             S::Skip => out.push_str("skip;\n"),
         }
     }
@@ -77,6 +90,9 @@ impl S {
         match self {
             S::Atomic(inner) => inner.render_atomic(out),
             S::CallHelper => out.push_str("g0 = g0 + 1;\n"),
+            S::CallPtr { unary, .. } => {
+                out.push_str(if *unary { "fp = unary;\n" } else { "fp = helper;\n" });
+            }
             S::Seq(a, b) => {
                 a.render_atomic(out);
                 b.render_atomic(out);
@@ -101,13 +117,29 @@ impl S {
 }
 
 fn stmt_strategy() -> impl Strategy<Value = S> {
+    stmt_tree(Just(S::CallHelper))
+}
+
+/// [`stmt_strategy`] with calls through the function pointer `fp` as an
+/// extra leaf.
+fn stmt_strategy_with_fn_ptr() -> impl Strategy<Value = S> {
+    stmt_tree(
+        prop_oneof![
+            Just(S::CallHelper),
+            // `unary` is called with no argument one time in four.
+            (any::<bool>(), 0u8..4).prop_map(|(unary, k)| S::CallPtr { unary, arg: unary && k != 0 }),
+        ])
+}
+
+/// Random statements over the leaves plus `calls`.
+fn stmt_tree(calls: impl Strategy<Value = S> + 'static) -> impl Strategy<Value = S> {
     let leaf = prop_oneof![
         (any::<u8>(), -2i8..3).prop_map(|(g, c)| S::Set(g, c)),
         (any::<u8>(), any::<u8>(), -1i8..2).prop_map(|(g, h, c)| S::AddFrom(g, h, c)),
         (any::<u8>(), -1i8..3, any::<bool>()).prop_map(|(g, c, e)| S::Assert(g, c, e)),
         Just(S::Skip),
     ];
-    let leaf = prop_oneof![leaf, Just(S::CallHelper)];
+    let leaf = prop_oneof![leaf, calls];
     leaf.prop_recursive(3, 12, 3, |inner| {
         prop_oneof![
             (any::<u8>(), 0i8..2, inner.clone(), inner.clone())
@@ -117,6 +149,23 @@ fn stmt_strategy() -> impl Strategy<Value = S> {
             inner.clone().prop_map(|a| S::Atomic(Box::new(a))),
         ]
     })
+}
+
+/// What kind of verdict an engine reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    Error,
+    RuntimeError,
+    Clean,
+}
+
+fn class(outcome: &KissOutcome) -> Class {
+    match outcome {
+        KissOutcome::NoErrorFound(_) => Class::Clean,
+        KissOutcome::RuntimeError(_) => Class::RuntimeError,
+        other if other.found_error() => Class::Error,
+        other => panic!("unexpected outcome {other:?}"),
+    }
 }
 
 /// Renders a whole program: two workers, a main that forks both and
@@ -209,5 +258,42 @@ proptest! {
                 src, conc
             );
         }
+    }
+
+    /// Cross-engine differential: explicit, BFS and summary agree on
+    /// the verdict class. Each engine stops at the first error it
+    /// meets, in its own search order, so when a program can both fail
+    /// an assertion and hit an arity error, engines may legitimately
+    /// report different ones; only such programs may split between the
+    /// two error classes. A clean verdict is exhaustive and must be
+    /// unanimous.
+    #[test]
+    fn engines_agree_on_the_verdict_class(
+        w1 in stmt_strategy_with_fn_ptr(),
+        w2 in stmt_strategy_with_fn_ptr(),
+        m1 in stmt_strategy_with_fn_ptr(),
+        m2 in stmt_strategy_with_fn_ptr(),
+        max_ts in 0usize..3,
+    ) {
+        let src = format!(
+            "fn fp;\nvoid unary(int a) {{\ng1 = g1 + a;\n}}\n{}",
+            render_program(&w1, &w2, &m1, &m2)
+        );
+        let program = kiss::parse(&src).expect("generated programs are well-formed");
+        let mut classes = Vec::new();
+        for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
+            let outcome = Kiss::new()
+                .with_engine(engine)
+                .with_max_ts(max_ts)
+                .with_validation(false)
+                .with_budget(Budget::steps_states(2_000_000, 200_000))
+                .check_assertions(&program);
+            prop_assume!(!outcome.is_inconclusive());
+            classes.push(class(&outcome));
+        }
+        let both_errors_possible = src.contains("assert") && src.contains("fp(");
+        let agree = classes.iter().all(|&c| c == classes[0])
+            || (both_errors_possible && !classes.contains(&Class::Clean));
+        prop_assert!(agree, "engines disagree ({:?}) on:\n{}", classes, src);
     }
 }
