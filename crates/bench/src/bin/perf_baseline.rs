@@ -6,7 +6,7 @@
 //!     [--quick] [--iters <n>] [--jobs <n>] [--out <path>] [--compare <path>]
 //! ```
 //!
-//! Four measurements, written as one JSON object (default
+//! Five measurements, written as one JSON object (default
 //! `BENCH_seq.json`, the checked-in baseline) together with the
 //! `hardware_threads` of the measuring machine:
 //!
@@ -19,6 +19,13 @@
 //!   spinlock pair and the `G !bad` differential corpus at `MAX` 0 and
 //!   1, transformed and lowered outside the timed region; reported
 //!   like an engine, in product expansions per second.
+//! * **drivers** — the explicit engine (`ExplicitChecker`) checking
+//!   every field of the 18 paper drivers for races under the naive
+//!   harness at `MAX` 0 and the default per-field budget
+//!   (`table::default_budget()`). Harnessing, transformation and
+//!   lowering happen outside the timed region, so the leg times the
+//!   DFS on driver-shaped states — wide heaps, where per-state
+//!   fingerprinting shows — in steps per second.
 //! * **table1** — an end-to-end corpus run at a reduced per-field
 //!   budget, once with `jobs = 1` and once with `--jobs` workers, so
 //!   the serial/parallel ratio is recorded alongside the raw numbers.
@@ -27,10 +34,10 @@
 //!
 //! `--quick` shrinks the iteration count and the table budget for CI
 //! smoke use. `--compare <path>` reads a previously written baseline
-//! and exits 1 if any engine's or the LTL product's steps/sec regressed
-//! more than 30% against it, or if the BFS store-bytes footprint grew
-//! more than 50% (the LTL and memory gates only when the baseline
-//! records those sections) —
+//! and exits 1 if any engine's, the LTL product's or the drivers leg's
+//! steps/sec regressed more than 30% against it, or if the BFS
+//! store-bytes footprint grew more than 50% (the LTL, drivers and
+//! memory gates only when the baseline records those sections) —
 //! engine throughput and store footprint are workload-independent
 //! across modes, so a `--quick` run may be compared against a full
 //! baseline (the table numbers are informational and never gated).
@@ -40,13 +47,15 @@ use std::time::Instant;
 
 use kiss_bench::runner::default_jobs;
 use kiss_core::checker::{Engine, Kiss};
+use kiss_core::harness::dispatch_harness;
 use kiss_core::supervisor::Supervisor;
 use kiss_core::transform::{transform, TransformConfig};
-use kiss_drivers::table::check_corpus_parallel;
+use kiss_core::RaceTarget;
+use kiss_drivers::table::{check_corpus_parallel, default_budget};
 use kiss_exec::Module;
 use kiss_ltl::{Buchi, ProductChecker, ResolvedAtom};
 use kiss_obs::json::Json;
-use kiss_seq::Budget;
+use kiss_seq::{Budget, ExplicitChecker};
 
 const USAGE: &str = "options: --quick --iters <n> --jobs <n> --out <path> --compare <path>";
 
@@ -178,9 +187,47 @@ fn run_ltl(cases: &[(Module, Buchi, Vec<ResolvedAtom>)], reps: usize) -> u64 {
     steps
 }
 
-fn median(mut xs: Vec<u64>) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
+/// Every field of the 18 paper drivers as a race check under the naive
+/// harness: harnessed, race-instrumented at `MAX` 0 and lowered, the
+/// same front end `table1` runs per field.
+fn driver_cases() -> Vec<Module> {
+    let mut modules = Vec::new();
+    for model in kiss_drivers::generate_corpus() {
+        let program = kiss_lang::parse_and_lower(&model.source).expect("drivers parse");
+        for field in 0..model.fields.len() {
+            let pairs = model.field_pairs(field, false);
+            let pairs: Vec<(&str, &str)> = pairs.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
+            let harnessed = dispatch_harness(&program, Some("DriverInit"), &pairs).expect("harness");
+            let race = RaceTarget::resolve(&harnessed, &model.race_spec(field)).expect("race spec");
+            let cfg = TransformConfig { max_ts: 0, race: Some(race), alias_prune: true };
+            modules.push(Module::lower(transform(&harnessed, &cfg).expect("transforms").program));
+        }
+    }
+    modules
+}
+
+/// One explicit-engine pass over every driver case at the default
+/// per-field budget; returns the summed step count.
+fn run_drivers(modules: &[Module]) -> u64 {
+    modules
+        .iter()
+        .map(|m| ExplicitChecker::new(m).with_budget(default_budget()).check_with_stats().1.steps)
+        .sum()
+}
+
+/// Runs `pass` `iters` times; returns its (deterministic) step count
+/// and the median wall-clock microseconds.
+fn timed(iters: usize, mut pass: impl FnMut() -> u64) -> (u64, u64) {
+    let mut steps = 0;
+    let mut walls: Vec<u64> = (0..iters)
+        .map(|_| {
+            let t0 = Instant::now();
+            steps = pass();
+            t0.elapsed().as_micros() as u64
+        })
+        .collect();
+    walls.sort_unstable();
+    (steps, walls[walls.len() / 2])
 }
 
 /// One BFS pass over the samples suite collecting the state-store
@@ -220,9 +267,9 @@ fn steps_per_sec(steps: u64, wall_us: u64) -> u64 {
 }
 
 /// Returns the gates that failed vs `baseline`: any engine — and, when
-/// the baseline records it, the LTL product — that regressed >30% in
-/// steps/sec, and, when the baseline records a memory section, a BFS
-/// store-bytes footprint that grew >50%.
+/// the baseline records them, the LTL product and the drivers leg —
+/// that regressed >30% in steps/sec, and, when the baseline records a
+/// memory section, a BFS store-bytes footprint that grew >50%.
 fn regressions(current: &str, baseline: &str) -> Result<Vec<String>, String> {
     let cur = Json::parse(current).ok_or("current result does not parse")?;
     let base = Json::parse(baseline).ok_or("baseline does not parse")?;
@@ -251,6 +298,10 @@ fn regressions(current: &str, baseline: &str) -> Result<Vec<String>, String> {
     // baseline carrying it is checked in.
     if let Some(b) = base.get("ltl") {
         gate_rate("ltl", b, cur.get("ltl"))?;
+    }
+    // Likewise for the drivers leg.
+    if let Some(b) = base.get("drivers") {
+        gate_rate("drivers", b, cur.get("drivers"))?;
     }
     // Older baselines predate the memory section; the gate only arms
     // once a baseline carrying it is checked in.
@@ -289,14 +340,7 @@ fn main() {
     let mut engine_json = Vec::new();
     for engine in [Engine::Explicit, Engine::Bfs, Engine::Summary] {
         let name = engine.name();
-        let mut walls = Vec::with_capacity(opts.iters);
-        let mut steps = 0u64;
-        for _ in 0..opts.iters {
-            let t0 = Instant::now();
-            steps = run_suite(engine, &programs, reps);
-            walls.push(t0.elapsed().as_micros() as u64);
-        }
-        let wall_us = median(walls);
+        let (steps, wall_us) = timed(opts.iters, || run_suite(engine, &programs, reps));
         let rate = steps_per_sec(steps, wall_us);
         println!("{name}: {steps} steps, median {wall_us} us, {rate} steps/s");
         engine_json.push(format!(
@@ -306,16 +350,18 @@ fn main() {
 
     let cases = ltl_cases();
     let ltl_reps = if opts.quick { 20 } else { 50 };
-    let mut walls = Vec::with_capacity(opts.iters);
-    let mut ltl_steps = 0u64;
-    for _ in 0..opts.iters {
-        let t0 = Instant::now();
-        ltl_steps = run_ltl(&cases, ltl_reps);
-        walls.push(t0.elapsed().as_micros() as u64);
-    }
-    let ltl_wall_us = median(walls);
+    let (ltl_steps, ltl_wall_us) = timed(opts.iters, || run_ltl(&cases, ltl_reps));
     let ltl_rate = steps_per_sec(ltl_steps, ltl_wall_us);
     println!("ltl: {ltl_steps} steps, median {ltl_wall_us} us, {ltl_rate} steps/s");
+
+    let drivers = driver_cases();
+    let (driver_steps, driver_wall_us) = timed(opts.iters, || run_drivers(&drivers));
+    let driver_rate = steps_per_sec(driver_steps, driver_wall_us);
+    println!(
+        "drivers ({} field checks): {driver_steps} steps, median {driver_wall_us} us, \
+         {driver_rate} steps/s",
+        drivers.len()
+    );
 
     // A reduced per-field budget keeps the end-to-end leg tractable;
     // the serial/parallel ratio is what the baseline tracks.
@@ -346,6 +392,8 @@ fn main() {
          \"engines\":{{{}}},\
          \"ltl\":{{\"steps\":{ltl_steps},\"wall_us_median\":{ltl_wall_us},\
          \"steps_per_sec\":{ltl_rate}}},\
+         \"drivers\":{{\"steps\":{driver_steps},\"wall_us_median\":{driver_wall_us},\
+         \"steps_per_sec\":{driver_rate}}},\
          \"table1\":{{\"budget_max_steps\":{},\"budget_max_states\":{},\
          \"serial_wall_us\":{serial_us},\"parallel_wall_us\":{parallel_us},\"jobs\":{}}},\
          \"memory\":{{\"bfs_states_stored\":{stored},\"bfs_store_bytes\":{store_bytes},\
@@ -372,7 +420,9 @@ fn main() {
             }
         };
         match regressions(&json, &baseline) {
-            Ok(failed) if failed.is_empty() => println!("no engine or ltl regressed >30%"),
+            Ok(failed) if failed.is_empty() => {
+                println!("no engine, ltl or drivers rate regressed >30%")
+            }
             Ok(failed) => {
                 eprintln!("perf_baseline: steps/sec regressed >30% on: {}", failed.join(", "));
                 std::process::exit(1);

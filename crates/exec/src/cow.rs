@@ -20,6 +20,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::hash::TwoLaneHasher;
+
 const CHUNK_BITS: usize = 3;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const MASK: usize = CHUNK - 1;
@@ -58,7 +60,7 @@ impl<T: Hash> Chunk<T> {
         if self.sealed.load(Ordering::Acquire) {
             return (self.digest.0.load(Ordering::Relaxed), self.digest.1.load(Ordering::Relaxed));
         }
-        let mut h = ChunkHasher::new();
+        let mut h = TwoLaneHasher::new();
         self.data.hash(&mut h);
         let (a, b) = h.finish_pair();
         self.digest.0.store(a, Ordering::Relaxed);
@@ -73,58 +75,6 @@ impl<T: Clone> Clone for Chunk<T> {
         // A clone exists to be written (it is what `Arc::make_mut`
         // creates behind the write barrier), so it starts unsealed.
         Chunk::new(self.data.clone())
-    }
-}
-
-/// A single-pass two-lane mixing hasher for chunk digests: xor, odd
-/// rotations, and odd multipliers per 8-byte word, one independent
-/// seed and multiplier per lane.
-struct ChunkHasher {
-    a: u64,
-    b: u64,
-}
-
-impl ChunkHasher {
-    fn new() -> Self {
-        ChunkHasher { a: 0x243F_6A88_85A3_08D3, b: 0x1319_8A2E_0370_7344 }
-    }
-
-    fn mix(&mut self, word: u64) {
-        self.a = (self.a ^ word).rotate_left(23).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.b = (self.b ^ word).rotate_left(29).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    }
-
-    fn finish_pair(self) -> (u64, u64) {
-        // splitmix64-style finalization on each lane.
-        let fin = |mut x: u64| {
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        (fin(self.a), fin(self.b))
-    }
-}
-
-impl Hasher for ChunkHasher {
-    fn finish(&self) -> u64 {
-        unreachable!("chunk digests are read through finish_pair")
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut it = bytes.chunks_exact(8);
-        for word in &mut it {
-            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let rest = it.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            // Length-tag the tail so `[1]` and `[1, 0]` differ.
-            tail[7] = rest.len() as u8;
-            self.mix(u64::from_le_bytes(tail));
-        }
     }
 }
 
@@ -199,10 +149,10 @@ impl<T: Clone> CowVec<T> {
 
 impl<T: Clone + Hash> CowVec<T> {
     /// Feeds the length and the cached per-chunk digests into `state` —
-    /// the fast fingerprint path. The digest stream depends only on the
-    /// *contents* (never on sharing history), but it is NOT the same
-    /// stream as the element-wise [`Hash`] impl: a fingerprint scheme
-    /// must use one or the other for the lifetime of a visited set.
+    /// the state-fingerprint path. The digest stream depends only on
+    /// the *contents* (never on sharing history or on which chunks
+    /// were already sealed); it differs from the element-wise [`Hash`]
+    /// stream.
     pub fn hash_cached<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.len);
         for chunk in &self.chunks {
@@ -218,18 +168,6 @@ impl<T: Clone> Default for CowVec<T> {
         CowVec::new()
     }
 }
-
-// Parallel exploration hands configurations (hence chunk handles)
-// across worker threads: the seal flag and digest words are atomics,
-// so a `CowVec` of sendable elements must stay `Send + Sync`. These
-// assertions turn an accidental regression (e.g. a `Cell` slipping
-// into `Chunk`) into a compile error here instead of a distant trait
-// bound failure in the search engine.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Chunk<u64>>();
-    assert_send_sync::<CowVec<u64>>();
-};
 
 impl<T: Clone> From<Vec<T>> for CowVec<T> {
     fn from(items: Vec<T>) -> Self {
@@ -294,8 +232,9 @@ impl<T: Clone + Ord> Ord for CowVec<T> {
     }
 }
 
-// Hashes exactly like a `Vec<T>` (length prefix, then elements), so
-// fingerprints of configs are unchanged by the representation switch.
+// Hashes exactly like a `Vec<T>` (length prefix, then elements). The
+// summary engine's keys and the `kiss-conc` oracle hash memory through
+// it; sequential `Config` fingerprints use `hash_cached` instead.
 impl<T: Clone + std::hash::Hash> std::hash::Hash for CowVec<T> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         state.write_usize(self.len);

@@ -15,10 +15,12 @@ pub mod cfg;
 pub mod cow;
 pub mod error;
 pub mod eval;
+pub mod hash;
 pub mod value;
 
 pub use cfg::{FuncBody, Instr, InstrMeta, Module};
 pub use cow::CowVec;
 pub use error::ExecError;
 pub use eval::{eval_operand, eval_rvalue, exec_assign, place_addr, resolve_call, Env};
+pub use hash::TwoLaneHasher;
 pub use value::{Addr, HeapObj, Memory, Value};

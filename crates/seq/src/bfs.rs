@@ -14,12 +14,12 @@
 //! for trace quality; prefer the DFS engine for pure verdicts.
 //!
 //! State bookkeeping keys an open-addressing [`VisitedTable`] on
-//! **split fingerprints** (the shared part of a branch's alternatives
-//! is hashed once, each alternative finishes in O(1)), indexes the
-//! parent map by dense [`StateId`]s, and interns the per-edge trace segments — the
-//! `schedule()` preambles repeat heavily, so the historical owned
-//! `Vec<TraceStep>` clone per edge stored the same steps once per edge
-//! instead of once per distinct segment. The historical `HashSet` +
+//! [`Config::fingerprint`]s (at a branch, the part the alternatives
+//! share is hashed once and each alternative finishes in O(1)),
+//! indexes the parent map by dense [`StateId`]s, and interns the
+//! per-edge trace segments — the `schedule()` preambles repeat heavily,
+//! so the historical owned `Vec<TraceStep>` clone per edge stored the
+//! same steps once per edge instead of once per distinct segment. The historical `HashSet` +
 //! owned-clone storage stays behind [`StoreKind::Legacy`] as the
 //! reference the store-equivalence tests compare against.
 
@@ -178,17 +178,16 @@ impl<'a> BfsChecker<'a> {
             .with_observer(self.obs.clone(), "bfs");
         let mut frontier_peak = 1usize;
         let root = Config::initial(self.module);
+        let root_fp = root.fingerprint();
         let mut frontier: VecDeque<(Config, NodeKey)> = VecDeque::new();
         let mut store = match self.store {
             StoreKind::Legacy => {
-                let root_fp = root.fingerprint();
                 let mut visited = HashSet::new();
                 visited.insert(root_fp);
                 frontier.push_back((root, NodeKey::Fp(root_fp.0, root_fp.1)));
                 BfsStore::Legacy { visited, parents: HashMap::new() }
             }
             StoreKind::Cow => {
-                let root_fp = root.fingerprint_base().with_pc(root.top_pc());
                 let mut visited = match self.state_cap {
                     Some(cap) => VisitedTable::new().with_capacity_limit(cap),
                     None => VisitedTable::new(),
@@ -244,10 +243,11 @@ impl<'a> BfsChecker<'a> {
                 SegmentEnd::Done => {}
                 SegmentEnd::Branch(mut config, targets) => {
                     // The config is parked on its NondetJump; the
-                    // alternatives differ only in the top pc, so each
-                    // is fingerprinted *before* it exists — by steering
-                    // the parked config's pc — and only genuinely new
-                    // states pay for a clone.
+                    // alternatives differ only in the top pc, so the
+                    // shared part is hashed once and each alternative
+                    // is fingerprinted *before* it exists. Only
+                    // genuinely new states pay for a clone.
+                    let base = config.fingerprint_base();
                     let mut capped = false;
                     match &mut store {
                         BfsStore::Legacy { visited, parents } => {
@@ -255,13 +255,13 @@ impl<'a> BfsChecker<'a> {
                                 unreachable!("legacy store hands out Fp keys")
                             };
                             for &t in targets {
-                                config.stack.last_mut().expect("nonempty").pc = t;
-                                let afp = config.fingerprint();
+                                let afp = base.with_pc(t);
                                 if visited.insert(afp) {
                                     meter.note_states(visited.len());
                                     parents.insert(afp, ((f0, f1), steps.clone()));
-                                    frontier
-                                        .push_back((config.clone(), NodeKey::Fp(afp.0, afp.1)));
+                                    let mut c = config.clone();
+                                    c.stack.last_mut().expect("nonempty").pc = t;
+                                    frontier.push_back((c, NodeKey::Fp(afp.0, afp.1)));
                                 }
                             }
                         }
@@ -269,11 +269,10 @@ impl<'a> BfsChecker<'a> {
                             let NodeKey::Id(parent_id) = key else {
                                 unreachable!("cow store hands out Id keys")
                             };
-                            // Hash the shared part once; intern the edge
-                            // segment only when some alternative is new.
-                            // The last new alternative inherits the
-                            // parked config instead of cloning it.
-                            let base = config.fingerprint_base();
+                            // Intern the edge segment only when some
+                            // alternative is new. The last new
+                            // alternative inherits the parked config
+                            // instead of cloning it.
                             let mut seg = None;
                             let mut pending = None;
                             for &t in targets {

@@ -3,7 +3,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use kiss_exec::{Addr, Env, ExecError, Memory, Module, Value};
+use kiss_exec::{Addr, Env, ExecError, Memory, Module, TwoLaneHasher, Value};
 use kiss_lang::hir::{FuncId, LocalId, Place, VarRef};
 
 /// One stack frame.
@@ -37,21 +37,15 @@ impl Frame {
     }
 }
 
-/// The whole sequential state: memory plus the call stack.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The whole sequential state: memory plus the call stack. Not `Hash`:
+/// engines identify states by [`Config::fingerprint`] alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Globals and heap.
     pub mem: Memory,
     /// Call stack; the last frame is executing.
     pub stack: Vec<Frame>,
 }
-
-// Parallel BFS workers own configurations and share the frontier
-// across threads; keep the whole state thread-mobile by construction.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Config>();
-};
 
 impl Config {
     /// The initial configuration: initialized globals, empty heap, one
@@ -63,40 +57,32 @@ impl Config {
         }
     }
 
-    /// A 128-bit fingerprint for visited-state hashing.
-    ///
-    /// Computed in a **single traversal** of the configuration: every
-    /// hash write feeds two independently seeded multiply-rotate lanes.
-    /// Fingerprinting happens once per recorded state on the engines'
-    /// hot path — for driver harnesses the heap holds wide extension
-    /// structs, so both the old scheme's double traversal and its
-    /// SipHash lanes were measurable. Two 64-bit lanes with distinct
-    /// odd multipliers and a splitmix64 finalizer keep the 128-bit
-    /// collision behaviour (verified against the old double-pass
-    /// scheme in the tests below) at a fraction of the cost.
+    /// The 128-bit visited-state fingerprint every `Config` engine
+    /// keys its store on: `fingerprint_base` finished with the top
+    /// frame's pc, or with a fixed sentinel pc once the stack is empty
+    /// (the LTL product fingerprints terminated configurations, which
+    /// stutter).
     pub fn fingerprint(&self) -> (u64, u64) {
-        let mut h = TwoLaneHasher::new();
-        self.hash(&mut h);
-        h.finish_pair()
+        let pc = self.stack.last().map_or(EMPTY_STACK_PC, |f| f.pc);
+        self.fingerprint_base().with_pc(pc)
     }
 
-    /// The incremental half of a **split fingerprint**: hashes the
-    /// whole configuration *except* the top frame's program counter.
+    /// Everything a fingerprint covers except the top frame's pc.
+    ///
+    /// Memory goes in through the per-chunk digests [`CowVec`] caches
+    /// until the chunk is next written, so a fingerprint costs one
+    /// digest load per clean chunk plus a rehash of the chunks written
+    /// since the last one — not a walk over all of memory. The stack
+    /// (locals are small) is hashed element-wise.
     ///
     /// On a nondeterministic branch every alternative shares memory,
     /// stack and locals with its siblings and differs only in the top
-    /// pc, so the BFS store hashes the common part once and derives
-    /// each alternative's fingerprint with [`FpBase::with_pc`] — one
-    /// traversal plus N O(1) finishes instead of N full traversals.
+    /// pc, so the BFS engine computes the base once and finishes each
+    /// alternative with [`FpBase::with_pc`].
     ///
-    /// Split fingerprints hash their writes in a different order than
-    /// [`Config::fingerprint`], so the two schemes must not be mixed
-    /// within one visited table.
-    pub fn fingerprint_base(&self) -> FpBase {
+    /// [`CowVec`]: kiss_exec::CowVec
+    pub(crate) fn fingerprint_base(&self) -> FpBase {
         let mut h = TwoLaneHasher::new();
-        // Memory goes in through the cached per-chunk digests: chunks
-        // shared with sibling states were already digested once, so a
-        // branch re-hashes only the chunks this path actually wrote.
         self.mem.globals.hash_cached(&mut h);
         self.mem.heap.hash_cached(&mut h);
         h.write_usize(self.stack.len());
@@ -111,19 +97,18 @@ impl Config {
         }
         FpBase { h }
     }
-
-    /// The top frame's program counter — the part a split fingerprint
-    /// defers; panics on an empty stack (never fingerprinted).
-    pub fn top_pc(&self) -> usize {
-        self.stack.last().expect("fingerprinted config has a frame").pc
-    }
 }
+
+/// The pc [`Config::fingerprint`] finishes with when the stack is
+/// empty. The stack depth is hashed too, so it cannot be confused with
+/// a frame's real pc.
+const EMPTY_STACK_PC: usize = usize::MAX;
 
 /// A partially computed [`Config`] fingerprint: everything but the top
 /// frame's pc is already mixed in. `Copy`, so deriving a sibling's
 /// fingerprint copies two lane states and finishes.
 #[derive(Clone, Copy)]
-pub struct FpBase {
+pub(crate) struct FpBase {
     h: TwoLaneHasher,
 }
 
@@ -138,122 +123,14 @@ impl FpBase {
     }
 }
 
-/// A 128-bit single-pass fingerprint of any hashable value, using the
-/// same two-lane scheme as [`Config::fingerprint`]. The summary engine
+/// A 128-bit single-pass fingerprint of any hashable value, with the
+/// two-lane hasher [`Config::fingerprint`] uses. The summary engine
 /// keys its per-body visited tables on interprocedural `State`s rather
-/// than `Config`s, and this saves it the historical double
-/// `DefaultHasher` traversal.
+/// than `Config`s, and the serve cache keys requests with it.
 pub fn fingerprint_of<T: Hash>(value: &T) -> (u64, u64) {
     let mut h = TwoLaneHasher::new();
     value.hash(&mut h);
     h.finish_pair()
-}
-
-/// One fingerprint lane: xor-multiply-rotate over 64-bit words with a
-/// splitmix64 finalizer. Not cryptographic, but avalanche-tested mixing
-/// is plenty for visited-state dedup where a collision needs to happen
-/// on *both* independently parameterized lanes at once.
-#[derive(Clone, Copy)]
-struct Lane {
-    state: u64,
-    mult: u64,
-}
-
-impl Lane {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.state = (self.state.rotate_left(23) ^ v).wrapping_mul(self.mult);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // splitmix64 finalizer: full avalanche over the lane state.
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-/// A [`Hasher`] that feeds every write into two [`Lane`]s with
-/// different seeds and multipliers, yielding a 128-bit result from one
-/// traversal of the hashed value.
-#[derive(Clone, Copy)]
-struct TwoLaneHasher {
-    lo: Lane,
-    hi: Lane,
-}
-
-impl TwoLaneHasher {
-    fn new() -> Self {
-        TwoLaneHasher {
-            // Seeds: pi fraction bits; multipliers: golden-ratio and
-            // xxhash primes (both odd, so multiplication is invertible).
-            lo: Lane { state: 0x243F_6A88_85A3_08D3, mult: 0x9E37_79B9_7F4A_7C15 },
-            hi: Lane { state: 0x1319_8A2E_0370_7344, mult: 0xC2B2_AE3D_27D4_EB4F },
-        }
-    }
-
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.lo.mix(v);
-        self.hi.mix(v);
-    }
-
-    fn finish_pair(&self) -> (u64, u64) {
-        (self.lo.finish(), self.hi.finish())
-    }
-}
-
-macro_rules! forward_write {
-    ($($method:ident: $ty:ty),* $(,)?) => {
-        $(
-            #[inline]
-            fn $method(&mut self, i: $ty) {
-                self.mix(i as u64);
-            }
-        )*
-    };
-}
-
-impl Hasher for TwoLaneHasher {
-    fn finish(&self) -> u64 {
-        self.lo.finish()
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut it = bytes.chunks_exact(8);
-        for chunk in &mut it {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = it.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.mix(u64::from_le_bytes(tail));
-        }
-        // Length disambiguates "short write" from "padded-zero write".
-        self.mix(bytes.len() as u64);
-    }
-
-    forward_write! {
-        write_u8: u8, write_u16: u16, write_u32: u32, write_u64: u64,
-        write_usize: usize,
-        write_i8: i8, write_i16: i16, write_i32: i32, write_i64: i64,
-        write_isize: isize,
-    }
-
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.mix(i as u64);
-        self.mix((i >> 64) as u64);
-    }
-
-    #[inline]
-    fn write_i128(&mut self, i: i128) {
-        self.write_u128(i as u128);
-    }
 }
 
 /// [`Env`] implementation: a module plus a mutable configuration.
@@ -360,6 +237,7 @@ impl Env for SeqEnv<'_> {
 mod tests {
     use super::*;
     use kiss_lang::parse_and_lower;
+    use proptest::prelude::*;
 
     fn module(src: &str) -> Module {
         Module::lower(parse_and_lower(src).unwrap())
@@ -418,6 +296,7 @@ mod tests {
     /// equally (guaranteed structurally — fingerprint is a pure
     /// function of the hashed writes).
     fn double_pass_fingerprint(c: &Config) -> (u64, u64) {
+        let c = (&c.mem, &c.stack);
         let mut h1 = std::collections::hash_map::DefaultHasher::new();
         c.hash(&mut h1);
         let mut h2 = std::collections::hash_map::DefaultHasher::new();
@@ -512,7 +391,7 @@ mod tests {
         for pc in 0..3usize {
             let mut alt = c.clone();
             alt.stack[0].pc = pc;
-            assert_eq!(base.with_pc(pc), alt.fingerprint_base().with_pc(alt.top_pc()));
+            assert_eq!(base.with_pc(pc), alt.fingerprint());
             assert!(seen.insert(base.with_pc(pc)), "pc {pc} collided");
         }
         // The base is sensitive to everything below the top pc.
@@ -523,6 +402,148 @@ mod tests {
         let mut deeper = c.clone();
         deeper.stack.push(Frame::enter(&m, f, &[Value::Int(1)], None));
         assert_ne!(base.with_pc(0), deeper.fingerprint_base().with_pc(0));
+    }
+
+    #[test]
+    fn empty_stack_fingerprint_is_deterministic_and_distinct() {
+        let m = module("int g; void main() { g = 1; }");
+        let one_frame = Config::initial(&m);
+        let mut done = one_frame.clone();
+        done.stack.pop();
+        assert_eq!(done.fingerprint(), done.clone().fingerprint());
+        assert_eq!(done.fingerprint(), done.fingerprint_base().with_pc(EMPTY_STACK_PC));
+        assert_ne!(done.fingerprint(), one_frame.fingerprint());
+        // Not even a frame sitting at the sentinel pc collides with it.
+        let mut at_sentinel = one_frame.clone();
+        at_sentinel.stack[0].pc = EMPTY_STACK_PC;
+        assert_ne!(done.fingerprint(), at_sentinel.fingerprint());
+    }
+
+    /// The program the digest-caching property mutates: globals and
+    /// heap objects spanning several copy-on-write chunks, and a callee
+    /// with locals to push.
+    const SCRIPT_PROGRAM: &str = "struct D { int x; int y; }
+         int g0; int g1; int g2; int g3; int g4; int g5; int g6; int g7;
+         int g8; int g9; int g10; int g11;
+         void f(int a) { int l; l = a; }
+         void main() { int x; int y; D *p; skip; }";
+
+    /// One step of a random mutation script, applied through the same
+    /// [`Env`] write paths the engines use.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Writes a global.
+        Global(u8, i8),
+        /// Allocates a `D`.
+        Malloc,
+        /// Writes a field of an allocated object (no-op on an empty heap).
+        Field(u8, u8, i8),
+        /// Writes a local of the top frame (no-op on an empty stack).
+        Local(u8, i8),
+        /// Enters `f` with an argument.
+        Push(i8),
+        /// Pops the top frame (no-op on an empty stack).
+        Pop,
+        /// Writes a global, fingerprints, then restores the old value.
+        WriteRestore(u8, i8),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<u8>(), 0i8..3).prop_map(|(g, v)| Op::Global(g, v)),
+            Just(Op::Malloc),
+            (any::<u8>(), any::<u8>(), 0i8..3).prop_map(|(o, f, v)| Op::Field(o, f, v)),
+            (any::<u8>(), 0i8..3).prop_map(|(l, v)| Op::Local(l, v)),
+            (0i8..3).prop_map(Op::Push),
+            Just(Op::Pop),
+            (any::<u8>(), 0i8..3).prop_map(|(g, v)| Op::WriteRestore(g, v)),
+        ]
+    }
+
+    fn apply(m: &Module, c: &mut Config, op: &Op) {
+        let globals = c.mem.globals.len();
+        let heap = c.mem.heap.len();
+        let mut env = SeqEnv { module: m, config: c };
+        let global = |g: u8| Addr::Global(kiss_lang::GlobalId(u32::from(g) % globals as u32));
+        match *op {
+            Op::Global(g, v) => env.write_addr(global(g), Value::Int(v.into())).unwrap(),
+            Op::Malloc => {
+                env.malloc(kiss_lang::hir::StructId(0));
+            }
+            Op::Field(o, f, v) if heap > 0 => {
+                let a = Addr::Heap { obj: u32::from(o) % heap as u32, field: u32::from(f) % 2 };
+                env.write_addr(a, Value::Int(v.into())).unwrap();
+            }
+            Op::Local(l, v) => {
+                if let Some(frame) = env.config.stack.len().checked_sub(1) {
+                    let locals = env.config.stack[frame].locals.len() as u32;
+                    let a = Addr::Local { tid: 0, frame: frame as u32, local: u32::from(l) % locals };
+                    // `main`'s pointer local takes an int here too: only
+                    // equality of contents matters to the property.
+                    env.write_addr(a, Value::Int(v.into())).unwrap();
+                }
+            }
+            Op::Push(v) => {
+                let f = m.program.func_by_name("f").unwrap();
+                c.stack.push(Frame::enter(m, f, &[Value::Int(v.into())], None));
+            }
+            Op::Pop => {
+                c.stack.pop();
+            }
+            Op::WriteRestore(g, v) => {
+                let a = global(g);
+                let old = env.read_addr(a).unwrap();
+                env.write_addr(a, Value::Int(v.into())).unwrap();
+                let _ = env.config.fingerprint();
+                env.write_addr(a, old).unwrap();
+            }
+            Op::Field(..) => {}
+        }
+    }
+
+    /// The configuration rebuilt from its contents alone: fresh chunks
+    /// that were never sealed, so no cached digest can leak in.
+    fn rebuilt(c: &Config) -> Config {
+        Config {
+            mem: Memory { globals: c.mem.globals.to_vec().into(), heap: c.mem.heap.to_vec().into() },
+            stack: c.stack.clone(),
+        }
+    }
+
+    proptest! {
+        /// Cached chunk digests never go stale. Two clones of one
+        /// configuration run the same script, except that `b` may have
+        /// one operation replaced; `a` is fingerprinted after every
+        /// step (sealing its chunks), `b` only at random points. Equal
+        /// configurations must fingerprint equally, and on every
+        /// generated case distinct ones differently — a stale seal
+        /// would make two distinct states share a fingerprint and the
+        /// DFS prune a reachable one.
+        #[test]
+        fn cached_fingerprints_separate_exactly_the_distinct_configs(
+            ops in prop::collection::vec(op_strategy(), 1..40),
+            (twisted, at, other) in (any::<bool>(), any::<prop::sample::Index>(), op_strategy()),
+            seal_b in prop::collection::vec(any::<bool>(), 40..41),
+        ) {
+            let m = module(SCRIPT_PROGRAM);
+            let mut a = Config::initial(&m);
+            let mut b = a.clone();
+            let twist = twisted.then(|| (at.index(ops.len()), other));
+            for (k, op) in ops.iter().enumerate() {
+                apply(&m, &mut a, op);
+                match &twist {
+                    Some((i, other)) if *i == k => apply(&m, &mut b, other),
+                    _ => apply(&m, &mut b, op),
+                }
+                let fa = a.fingerprint();
+                prop_assert_eq!(fa, rebuilt(&a).fingerprint());
+                if seal_b[k] || k + 1 == ops.len() {
+                    let fb = b.fingerprint();
+                    prop_assert_eq!(fb, rebuilt(&b).fingerprint());
+                    prop_assert_eq!(a == b, fa == fb, "a: {:?}\nb: {:?}", a, b);
+                }
+            }
+        }
     }
 
     #[test]

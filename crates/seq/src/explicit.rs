@@ -9,6 +9,10 @@
 //! The engine is the depth-first frontier policy around
 //! [`crate::step`]: it records a visited state before every `Call` and
 //! branch, follows a branch's first target and stacks the others.
+//!
+//! A record stores [`Config::fingerprint`], which reads memory through
+//! the per-chunk digests the copy-on-write heap caches: it rehashes only
+//! the chunks written since the last record, not all of memory.
 
 use kiss_exec::{Instr, Module, Value};
 use kiss_obs::Obs;

@@ -162,7 +162,7 @@ mod tests {
             panic!("expected a branch")
         };
         assert_eq!(targets.len(), 2);
-        let pc = config.top_pc();
+        let pc = config.stack.last().expect("parked on the branch").pc;
         assert!(matches!(
             m.body(m.program.main).instrs[pc],
             Instr::NondetJump(_)

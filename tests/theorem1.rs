@@ -12,6 +12,9 @@
 //! The same generator, extended with calls through a function pointer,
 //! also drives a cross-engine differential: the explicit, BFS and
 //! summary engines must agree on what kind of verdict a program gets.
+//! And with its assertions turned into writes of a `bad` flag, it
+//! checks the LTL product engine's `G !bad` against the assertion
+//! checker.
 
 use proptest::prelude::*;
 
@@ -185,6 +188,29 @@ fn render_program(w1: &S, w2: &S, m1: &S, m2: &S) -> String {
     src
 }
 
+/// Turns every rendered `assert c;` into a `bad` site: `bad = 1;` on
+/// the arm where the assertion fails, followed by `assert bad == 0;`
+/// for the assertion-checker variant (`oracle`).
+fn with_bad_sites(src: &str, oracle: bool) -> String {
+    let mut out = String::from("int bad;\n");
+    for line in src.lines() {
+        match line.strip_prefix("assert ").and_then(|l| l.strip_suffix(';')) {
+            Some(cond) => {
+                out.push_str(&format!("if ({cond}) {{\nskip;\n}} else {{\nbad = 1;\n"));
+                if oracle {
+                    out.push_str("assert bad == 0;\n");
+                }
+                out.push_str("}\n");
+            }
+            None => {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, max_shrink_iters: 200, ..ProptestConfig::default() })]
 
@@ -295,5 +321,55 @@ proptest! {
         let agree = classes.iter().all(|&c| c == classes[0])
             || (both_errors_possible && !classes.contains(&Class::Clean));
         prop_assert!(agree, "engines disagree ({:?}) on:\n{}", classes, src);
+    }
+
+    /// `G !bad` through the LTL product engine against the assertion
+    /// checker failing the `assert bad == 0;` after every `bad = 1;`: a
+    /// safety formula checked by two engines that share only the
+    /// transformation (`ltl_differential` checks the same on a fixed
+    /// corpus). Source-level `assume` is left out, so every reached
+    /// `bad` site extends to a complete run.
+    ///
+    /// With the workers called synchronously the verdicts must match
+    /// exactly. With them forked, only one direction holds: the product
+    /// judges complete runs and drops the transformation's RAISE arms,
+    /// while the assertion checker also sees states where a truncated
+    /// thread stopped half-way (`async w1(); if (g0 == 1) ...` with
+    /// `w1` setting `g0` to 1 and back to 0 errs at `MAX` 0 only
+    /// through such a state). So a product violation must be an
+    /// assertion error, but not conversely.
+    #[test]
+    fn g_not_bad_agrees_with_the_assertion_checker(
+        w1 in stmt_strategy(),
+        w2 in stmt_strategy(),
+        m1 in stmt_strategy(),
+        m2 in stmt_strategy(),
+        max_ts in 0usize..2,
+    ) {
+        let formula = kiss::ltl::parse("G !bad").expect("formula parses");
+        let kiss = Kiss::new()
+            .with_max_ts(max_ts)
+            .with_validation(false)
+            .with_budget(Budget::steps_states(2_000_000, 200_000));
+        let forked = render_program(&w1, &w2, &m1, &m2);
+        for (sequential, src) in [(true, forked.replace("async ", "")), (false, forked)] {
+            let ltl_program = kiss::parse(&with_bad_sites(&src, false)).expect("well-formed");
+            let oracle_program = kiss::parse(&with_bad_sites(&src, true)).expect("well-formed");
+            let ltl = kiss.check_ltl(&ltl_program, &formula).expect("`bad` resolves");
+            let assertion = kiss.check_assertions(&oracle_program);
+            prop_assume!(!ltl.is_inconclusive() && !assertion.is_inconclusive());
+            let ltl_violated = matches!(ltl, KissOutcome::LivenessViolated(_));
+            let assert_violated = matches!(assertion, KissOutcome::AssertionViolation(_));
+            let agree = if sequential {
+                ltl_violated == assert_violated
+            } else {
+                !ltl_violated || assert_violated
+            };
+            prop_assert!(
+                agree,
+                "G !bad {} but the assertion checker {} at MAX {} on:\n{}",
+                ltl.verdict_str(), assertion.verdict_str(), max_ts, with_bad_sites(&src, true)
+            );
+        }
     }
 }
