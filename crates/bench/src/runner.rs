@@ -194,7 +194,8 @@ impl RunOptions {
         }
         let journal = Journal::open(path)?;
         if self.resume && !journal.is_empty() {
-            eprintln!("resuming: {} completed field checks found in {path}", journal.len());
+            let (done, skipped) = (journal.len(), journal.skipped());
+            eprintln!("resuming: {done} completed field checks found in {path}, {skipped} damaged lines skipped");
         }
         Ok(Some(journal))
     }

@@ -4,41 +4,31 @@
 //! is killed halfway (machine reclaimed, ^C, OOM), re-running from
 //! scratch wastes everything already computed. `table1`/`table2` (and
 //! any caller of
-//! [`crate::table::check_corpus_supervised`]) append one line per
+//! [`crate::table::check_corpus_supervised`]) append one record per
 //! completed `(driver, field)` pair; `--resume` replays the journal and
 //! skips those pairs.
 //!
-//! The format is a deliberately trivial line-oriented text format —
-//! one record per line, tab-separated, versioned:
+//! The file is a [`kiss_obs::record_log`], so every record is one
+//! checksummed line and a torn, garbage or bit-flipped line is skipped
+//! on load: a journal can only *under*-report completed work, never
+//! corrupt a resumed run. This module owns the two payloads:
 //!
 //! ```text
-//! v1\t<driver>\t<field-index>\t<outcome>
+//! v2<TAB><driver><TAB><field-index><TAB><outcome><TAB><checksum>
+//! v2report<TAB><RunReport as one-line JSON><TAB><checksum>
 //! ```
 //!
 //! where `<outcome>` is `race`, `norace`, `inconclusive:<reason>`,
-//! `crashed:<cause>`, or `failed:<cause>`. Causes have control
-//! characters replaced by spaces so they stay single-line. A torn final
-//! line (the process died mid-write) is ignored on load, as is any
-//! line that fails to parse: a journal can only *under*-report
-//! completed work, never corrupt a resumed run.
-//!
-//! A second record type carries observability state across sessions:
-//!
-//! ```text
-//! v1report\t<RunReport as one-line JSON>
-//! ```
-//!
-//! Each session of a corpus run appends the
-//! [`RunReport`] covering the checks *it* performed;
-//! a resumed run merges the stored reports with its own so the final
-//! metrics match an uninterrupted run. Parsers that only know `v1`
-//! skip these lines (the tag differs), and vice versa.
+//! `crashed:<cause>`, or `failed:<cause>`. Each session of a corpus
+//! run appends the [`RunReport`] covering the checks *it* performed; a
+//! resumed run merges the stored reports with its own so the final
+//! metrics match an uninterrupted run. Journals written before the
+//! checksum (`v1`, `v1report`) still replay.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use kiss_obs::record_log::{self, RecordLog};
 use kiss_obs::RunReport;
 use kiss_seq::BoundReason;
 
@@ -47,8 +37,7 @@ use crate::table::FieldOutcome;
 /// A resumable record of completed per-field checks.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: File,
+    log: RecordLog,
     completed: HashMap<(String, usize), FieldOutcome>,
     reports: Vec<RunReport>,
 }
@@ -57,29 +46,16 @@ impl Journal {
     /// Opens (creating if absent) the journal at `path` and loads every
     /// well-formed record already in it.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<Journal> {
-        let path = path.as_ref().to_path_buf();
         let mut completed = HashMap::new();
         let mut reports = Vec::new();
-        if path.exists() {
-            let reader = BufReader::new(File::open(&path)?);
-            for line in reader.lines() {
-                let line = line?;
-                if let Some(json) = line.strip_prefix("v1report\t") {
-                    // A malformed report line is dropped like any other
-                    // garbage: metrics under-report, results stay intact.
-                    reports.extend(RunReport::from_json(json));
-                } else if let Some(((driver, field), outcome)) = parse_line(&line) {
-                    completed.insert((driver, field), outcome);
-                }
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(Journal { path, file, completed, reports })
-    }
-
-    /// The journal's location on disk.
-    pub fn path(&self) -> &Path {
-        &self.path
+        let log = RecordLog::open(path.as_ref(), |kind, fields| match kind {
+            "" => parse_field(fields).map(|(key, outcome)| completed.insert(key, outcome)).is_some(),
+            // A malformed report is dropped like any other garbage:
+            // metrics under-report, results stay intact.
+            "report" => RunReport::from_json(fields).map(|r| reports.push(r)).is_some(),
+            _ => false,
+        })?;
+        Ok(Journal { log, completed, reports })
     }
 
     /// Number of completed `(driver, field)` records loaded or written.
@@ -90,6 +66,11 @@ impl Journal {
     /// Whether the journal holds no records.
     pub fn is_empty(&self) -> bool {
         self.completed.is_empty()
+    }
+
+    /// Damaged lines (torn, garbage, checksum-failed) skipped on open.
+    pub fn skipped(&self) -> usize {
+        self.log.replay_stats().skipped
     }
 
     /// The recorded outcome for a `(driver, field)` pair, if any.
@@ -105,14 +86,8 @@ impl Journal {
         field: usize,
         outcome: &FieldOutcome,
     ) -> std::io::Result<()> {
-        writeln!(
-            self.file,
-            "v1\t{}\t{}\t{}",
-            sanitize(driver),
-            field,
-            encode_outcome(outcome)
-        )?;
-        self.file.flush()?;
+        let line = record_log::encode("", &[driver, &field.to_string(), &encode_outcome(outcome)]);
+        self.log.append(&line)?;
         self.completed.insert((driver.to_string(), field), outcome.clone());
         Ok(())
     }
@@ -121,16 +96,9 @@ impl Journal {
     /// `--resume` of a later session can account for this session's
     /// checks in its merged metrics.
     pub fn record_report(&mut self, report: &RunReport) -> std::io::Result<()> {
-        writeln!(self.file, "v1report\t{}", report.to_json())?;
-        self.file.flush()?;
+        self.log.append(&record_log::encode("report", &[&report.to_json()]))?;
         self.reports.push(report.clone());
         Ok(())
-    }
-
-    /// The per-session reports loaded from (or written to) the journal,
-    /// in order.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
     }
 
     /// All stored reports merged with `current` — the metrics of the
@@ -147,46 +115,30 @@ impl Journal {
     }
 }
 
-/// Replaces tabs, newlines, and other control characters so arbitrary
-/// causes cannot break the line format.
-fn sanitize(s: &str) -> String {
-    s.chars().map(|c| if c.is_control() || c == '\t' { ' ' } else { c }).collect()
-}
-
 fn encode_outcome(outcome: &FieldOutcome) -> String {
     match outcome {
         FieldOutcome::Race => "race".to_string(),
         FieldOutcome::NoRace => "norace".to_string(),
         FieldOutcome::Inconclusive(reason) => format!("inconclusive:{}", reason.as_str()),
-        FieldOutcome::Crashed { cause } => format!("crashed:{}", sanitize(cause)),
-        FieldOutcome::Failed { cause } => format!("failed:{}", sanitize(cause)),
+        FieldOutcome::Crashed { cause } => format!("crashed:{cause}"),
+        FieldOutcome::Failed { cause } => format!("failed:{cause}"),
     }
 }
 
 fn decode_outcome(s: &str) -> Option<FieldOutcome> {
-    if s == "race" {
-        return Some(FieldOutcome::Race);
+    match s.split_once(':') {
+        None if s == "race" => Some(FieldOutcome::Race),
+        None if s == "norace" => Some(FieldOutcome::NoRace),
+        Some(("inconclusive", reason)) => BoundReason::parse(reason).map(FieldOutcome::Inconclusive),
+        Some(("crashed", cause)) => Some(FieldOutcome::Crashed { cause: cause.to_string() }),
+        Some(("failed", cause)) => Some(FieldOutcome::Failed { cause: cause.to_string() }),
+        _ => None,
     }
-    if s == "norace" {
-        return Some(FieldOutcome::NoRace);
-    }
-    if let Some(reason) = s.strip_prefix("inconclusive:") {
-        return BoundReason::parse(reason).map(FieldOutcome::Inconclusive);
-    }
-    if let Some(cause) = s.strip_prefix("crashed:") {
-        return Some(FieldOutcome::Crashed { cause: cause.to_string() });
-    }
-    if let Some(cause) = s.strip_prefix("failed:") {
-        return Some(FieldOutcome::Failed { cause: cause.to_string() });
-    }
-    None
 }
 
-fn parse_line(line: &str) -> Option<((String, usize), FieldOutcome)> {
-    let mut parts = line.splitn(4, '\t');
-    if parts.next()? != "v1" {
-        return None;
-    }
+/// A field record's payload: `<driver>\t<field-index>\t<outcome>`.
+fn parse_field(fields: &str) -> Option<((String, usize), FieldOutcome)> {
+    let mut parts = fields.splitn(3, '\t');
     let driver = parts.next()?.to_string();
     let field: usize = parts.next()?.parse().ok()?;
     let outcome = decode_outcome(parts.next()?)?;
@@ -196,6 +148,7 @@ fn parse_line(line: &str) -> Option<((String, usize), FieldOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -291,7 +244,7 @@ mod tests {
         let j = Journal::open(&path).unwrap();
         // Report lines do not leak into field records, and vice versa.
         assert_eq!(j.len(), 1);
-        assert_eq!(j.reports(), &[session1.clone()]);
+        assert_eq!(j.merged_report(&RunReport::default()), session1);
         let mut session2 = RunReport::default();
         session2.observe(&kiss_obs::CheckMetrics {
             check: "drv/1".into(),
@@ -307,6 +260,106 @@ mod tests {
         assert_eq!(merged.outcomes["pass"], 1);
         assert_eq!(merged.outcomes["race"], 1);
         assert_eq!(merged.engines["explicit"].steps, 150);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Flips `mask` bits of the byte at `at` in the journal at `path`.
+    fn flip(path: &Path, at: usize, mask: u8) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] ^= mask;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn a_non_utf8_byte_skips_only_its_record() {
+        let path = tmp_path("nonutf8");
+        {
+            let mut j = Journal::open(&path).unwrap();
+            for field in 0..3 {
+                j.record("drv", field, &FieldOutcome::NoRace).unwrap();
+            }
+        }
+        // The high bit of the first record's `d` in `drv`.
+        flip(&path, 3, 0x80);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!((j.len(), j.skipped()), (2, 1));
+        assert_eq!(j.lookup("drv", 0), None);
+        assert_eq!(j.lookup("drv", 1), Some(FieldOutcome::NoRace));
+        assert_eq!(j.lookup("drv", 2), Some(FieldOutcome::NoRace));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_after_a_torn_tail_survives_the_next_reopen() {
+        let path = tmp_path("torntail");
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.record("drv", 0, &FieldOutcome::Race).unwrap();
+            j.record("drv", 1, &FieldOutcome::NoRace).unwrap();
+        }
+        // Keep the first record and half of the second.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let first = text.find('\n').unwrap() + 1;
+        std::fs::write(&path, &text[..first + (text.len() - first) / 2]).unwrap();
+        {
+            let mut j = Journal::open(&path).unwrap();
+            assert_eq!((j.len(), j.skipped()), (1, 1));
+            j.record("drv", 2, &FieldOutcome::Race).unwrap();
+        }
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.lookup("drv", 0), Some(FieldOutcome::Race));
+        assert_eq!(j.lookup("drv", 1), None, "the torn record must not count");
+        assert_eq!(j.lookup("drv", 2), Some(FieldOutcome::Race), "appended after the tear");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_field_index_is_skipped_not_given_to_another_field() {
+        let path = tmp_path("indexflip");
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.record("drv", 3, &FieldOutcome::Race).unwrap();
+        }
+        // `3` -> `7` is one bit, and the result still parses as an index.
+        let at = std::fs::read_to_string(&path).unwrap().find("\t3\t").unwrap() + 1;
+        flip(&path, at, 0x04);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.lookup("drv", 7), None);
+        assert_eq!(j.lookup("drv", 3), None);
+        assert_eq!((j.len(), j.skipped()), (0, 1));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_report_drops_only_that_report() {
+        let path = tmp_path("reportflip");
+        let session = |check: &str, steps| {
+            let mut r = RunReport::default();
+            r.observe(&kiss_obs::CheckMetrics {
+                check: check.into(),
+                engine: "explicit".into(),
+                verdict: "pass".into(),
+                steps,
+                ..kiss_obs::CheckMetrics::default()
+            });
+            r
+        };
+        {
+            let mut j = Journal::open(&path).unwrap();
+            j.record("drv", 0, &FieldOutcome::NoRace).unwrap();
+            j.record_report(&session("drv/0", 100)).unwrap();
+            j.record_report(&session("drv/1", 7)).unwrap();
+        }
+        // A digit in the first report line: `1` -> `3` keeps valid JSON.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let report = text.find("v2report").unwrap();
+        let at = report + text[report..].find("100").unwrap();
+        assert!(at < report + text[report..].find('\n').unwrap());
+        flip(&path, at, 0x02);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.lookup("drv", 0), Some(FieldOutcome::NoRace));
+        assert_eq!(j.skipped(), 1);
+        assert_eq!(j.merged_report(&RunReport::default()), session("drv/1", 7));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -16,10 +16,14 @@
 //! [`Obs::emit`] takes a *closure* that builds the event. A disabled
 //! handle (the default) never calls it, so hot loops pay one `Option`
 //! check — no allocation, no formatting, no locking.
+//!
+//! [`record_log`] is the checksummed append-only line format that both
+//! on-disk journals (the serve cache, the table resume log) share.
 
 pub mod event;
 pub mod json;
 pub mod metrics;
+pub mod record_log;
 pub mod report;
 pub mod sinks;
 pub mod span;

@@ -16,20 +16,17 @@
 //! single-mutex contention is a contended/acquired ratio near zero
 //! under concurrent load.
 //!
-//! The journal is line-oriented, one record per line. Current records
-//! carry a per-record FNV-1a checksum over everything before the last
-//! tab, so a torn or bit-flipped record is detected and skipped instead
-//! of replaying a wrong verdict:
+//! The journal is a [`kiss_obs::record_log`]: one checksummed record
+//! per line, so a torn or bit-flipped record is skipped on replay
+//! instead of restoring a wrong verdict. This module owns only the
+//! payload:
 //!
 //! ```text
 //! v2<TAB>0123...cdef<TAB>verdict<TAB>steps<TAB>states<TAB>detail<TAB>checksum
 //! ```
 //!
-//! Legacy `v1` records (no checksum) from journals written before the
-//! format change still replay. Control characters in the detail are
-//! sanitized to spaces on write. Loading tolerates torn or garbage
-//! lines (a crash mid-append loses at most the final record), and a
-//! later record for the same key overrides an earlier one.
+//! Legacy `v1` records (no checksum) still replay, and a later record
+//! for the same key overrides an earlier one.
 //!
 //! Because the journal is append-only, overridden and re-journaled
 //! records accumulate; [`ResultCache::compact`] rewrites the file to
@@ -42,13 +39,13 @@
 //! failures; every fired injection is reported through the cache's
 //! [`Obs`] handle as a `fault_injected` event.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use kiss_fault::Action;
+use kiss_obs::record_log::{self, RecordLog, ReplayStats};
 use kiss_obs::{Event, Obs};
 
 /// The journal file's name inside the cache directory.
@@ -78,15 +75,6 @@ pub struct CachedVerdict {
     pub steps: u64,
     /// Distinct states the check recorded.
     pub states: u64,
-}
-
-/// What journal replay found on open.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayStats {
-    /// Valid records applied to the index (overrides included).
-    pub replayed: usize,
-    /// Garbage, torn, or checksum-failed lines skipped.
-    pub skipped: usize,
 }
 
 /// One index partition: a power-of-two slot array, linear probing.
@@ -147,19 +135,14 @@ impl Shard {
 }
 
 /// The single append stream behind every shard, plus its accounting.
-/// One mutex guards it: appends are short buffered writes, and keeping
-/// the stream singular preserves the on-disk format exactly.
+/// One mutex guards it: appends are short writes, and keeping the
+/// stream singular preserves the on-disk format exactly.
 struct Journal {
-    writer: Option<BufWriter<File>>,
-    /// The journal's path, for compaction rewrites.
-    path: Option<PathBuf>,
+    /// `None` for an in-memory cache.
+    log: Option<RecordLog>,
     /// Lines currently in the journal file (valid or not), replay
     /// included — the auto-compaction trigger.
     records: usize,
-    /// Approximate journal size on disk (bytes appended since open,
-    /// plus what replay found; reset to the exact image size by
-    /// compaction).
-    bytes: u64,
     /// Compaction passes completed since open.
     compactions: u64,
     auto_compact_min: usize,
@@ -168,46 +151,33 @@ struct Journal {
 
 impl Journal {
     fn append(&mut self, key: u128, verdict: &CachedVerdict) {
-        if self.writer.is_none() {
-            return;
-        }
+        let Some(log) = self.log.as_mut() else { return };
         let line = encode_record(key, verdict);
-        let action = kiss_fault::hit(APPEND_POINT);
-        if let Some(action) = action {
-            self.note_fault(APPEND_POINT, action);
-        }
-        match action {
+        let _ = match fault(&self.obs, APPEND_POINT) {
             // The record is dropped on the floor: the entry degrades to
             // memory-only, exactly like a real failed write.
             Some(Action::Error) => return,
-            Some(Action::Panic) => panic!("kiss-fault: injected panic at {APPEND_POINT}"),
-            Some(Action::Delay(d)) => std::thread::sleep(d),
-            Some(Action::Truncate(cut)) => {
-                // A torn write: the record's head lands in the file with
-                // no newline, as if the process died mid-append.
-                let writer = self.writer.as_mut().expect("checked above");
-                let cut = cut.min(line.len());
-                let _ = writer.write_all(&line.as_bytes()[..cut]);
-                let _ = writer.flush();
-                self.records += 1;
-                self.bytes += cut as u64;
-                return;
-            }
-            None => {}
-        }
-        let writer = self.writer.as_mut().expect("checked above");
-        let _ = writer.write_all(line.as_bytes());
-        let _ = writer.write_all(b"\n");
-        let _ = writer.flush();
+            // A torn write: the record's head lands in the file with no
+            // newline, as if the process died mid-append.
+            Some(Action::Truncate(cut)) => log.append_torn(&line, cut),
+            _ => log.append(&line),
+        };
         self.records += 1;
-        self.bytes += line.len() as u64 + 1;
     }
+}
 
-    fn note_fault(&self, point: &str, action: Action) {
-        self.obs.emit(|_| Event::FaultInjected {
-            point: point.to_string(),
-            action: action.name().to_string(),
-        });
+/// Fires the failpoint `point`: reports any injection through `obs`,
+/// panics or sleeps in place, and hands an error or truncation back.
+fn fault(obs: &Obs, point: &str) -> Option<Action> {
+    let action = kiss_fault::hit(point)?;
+    obs.emit(|_| Event::FaultInjected { point: point.to_string(), action: action.name().to_string() });
+    match action {
+        Action::Panic => panic!("kiss-fault: injected panic at {point}"),
+        Action::Delay(d) => {
+            std::thread::sleep(d);
+            None
+        }
+        fault => Some(fault),
     }
 }
 
@@ -221,7 +191,6 @@ pub struct ResultCache {
     /// `len` and the auto-compaction trigger need no sweep).
     live: AtomicUsize,
     journal: Mutex<Journal>,
-    replay: ReplayStats,
     /// Shard-lock acquisitions since open.
     lock_acquires: AtomicU64,
     /// Acquisitions that found the shard lock already held and had to
@@ -242,15 +211,12 @@ impl ResultCache {
             shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::new())).collect(),
             live: AtomicUsize::new(0),
             journal: Mutex::new(Journal {
-                writer: None,
-                path: None,
+                log: None,
                 records: 0,
-                bytes: 0,
                 compactions: 0,
                 auto_compact_min: Self::AUTO_COMPACT_MIN,
                 obs: Obs::off(),
             }),
-            replay: ReplayStats::default(),
             lock_acquires: AtomicU64::new(0),
             lock_contended: AtomicU64::new(0),
         }
@@ -260,35 +226,20 @@ impl ResultCache {
     /// replaying any existing journal into the index.
     pub fn open(dir: &Path) -> io::Result<ResultCache> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(JOURNAL_FILE);
         let mut cache = ResultCache::in_memory();
-        match std::fs::read_to_string(&path) {
-            Ok(text) => {
-                let journal = cache.journal.get_mut().expect("journal lock");
-                journal.bytes = text.len() as u64;
-                for line in text.lines() {
-                    // Garbage and torn lines are skipped, not fatal: the
-                    // cache is an accelerator, never a source of truth.
-                    journal.records += 1;
-                    if let Some((key, verdict)) = parse_line(line) {
-                        let shard =
-                            cache.shards[shard_index(key)].get_mut().expect("shard lock");
-                        if shard.insert(key, verdict) {
-                            *cache.live.get_mut() += 1;
-                        }
-                        cache.replay.replayed += 1;
-                    } else {
-                        cache.replay.skipped += 1;
-                    }
-                }
+        let (shards, live) = (&mut cache.shards, cache.live.get_mut());
+        // Garbage and torn lines are skipped, not fatal: the cache is an
+        // accelerator, never a source of truth.
+        let log = RecordLog::open(&dir.join(JOURNAL_FILE), |kind, fields| {
+            let Some((key, verdict)) = parse_record(kind, fields) else { return false };
+            if shards[shard_index(key)].get_mut().expect("shard lock").insert(key, verdict) {
+                *live += 1;
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+            true
+        })?;
         let journal = cache.journal.get_mut().expect("journal lock");
-        journal.writer = Some(BufWriter::new(file));
-        journal.path = Some(path);
+        journal.records = log.replay_stats().replayed + log.replay_stats().skipped;
+        journal.log = Some(log);
         Ok(cache)
     }
 
@@ -332,7 +283,8 @@ impl ResultCache {
 
     /// What replaying the journal found when this cache was opened.
     pub fn replay_stats(&self) -> ReplayStats {
-        self.replay
+        let journal = self.journal.lock().expect("journal lock");
+        journal.log.as_ref().map(RecordLog::replay_stats).unwrap_or_default()
     }
 
     /// Lines currently in the journal file (live records, overridden
@@ -343,7 +295,7 @@ impl ResultCache {
 
     /// Approximate journal size in bytes (exact after a compaction).
     pub fn journal_bytes(&self) -> u64 {
-        self.journal.lock().expect("journal lock").bytes
+        self.journal.lock().expect("journal lock").log.as_ref().map_or(0, RecordLog::bytes)
     }
 
     /// Compaction passes completed since this cache was opened.
@@ -384,7 +336,7 @@ impl ResultCache {
         }
         let mut journal = self.journal.lock().expect("journal lock");
         journal.append(key, &verdict);
-        if journal.writer.is_some()
+        if journal.log.is_some()
             && journal.records >= journal.auto_compact_min
             && journal.records >= self.len().saturating_mul(4)
         {
@@ -395,31 +347,19 @@ impl ResultCache {
     }
 
     /// Rewrites the journal to one record per live entry, sorted by
-    /// key. The new image goes to a sibling `.tmp` file first and is
-    /// renamed over the journal, so a crash mid-compaction leaves the
-    /// original intact. Sorting makes the result canonical: compacting
-    /// a compacted journal reproduces it byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure writing or renaming the new image; the original
-    /// journal is untouched in that case.
+    /// key, through [`RecordLog::rewrite`]: an I/O error or a crash
+    /// mid-compaction leaves the original intact. Sorting makes the
+    /// result canonical: compacting a compacted journal reproduces it
+    /// byte for byte.
     pub fn compact(&self) -> io::Result<()> {
         let mut journal = self.journal.lock().expect("journal lock");
         self.compact_locked(&mut journal)
     }
 
     fn compact_locked(&self, journal: &mut Journal) -> io::Result<()> {
-        let Some(path) = journal.path.clone() else { return Ok(()) };
-        if let Some(action) = kiss_fault::hit(COMPACT_POINT) {
-            journal.note_fault(COMPACT_POINT, action);
-            match action {
-                Action::Error | Action::Truncate(_) => {
-                    return Err(io::Error::other("kiss-fault: injected compaction failure"));
-                }
-                Action::Panic => panic!("kiss-fault: injected panic at {COMPACT_POINT}"),
-                Action::Delay(d) => std::thread::sleep(d),
-            }
+        let Some(log) = journal.log.as_mut() else { return Ok(()) };
+        if fault(&journal.obs, COMPACT_POINT).is_some() {
+            return Err(io::Error::other("kiss-fault: injected compaction failure"));
         }
         // Sweep the shards (each locked briefly in turn) into one sorted
         // image. An insert racing this sweep either lands in the image
@@ -433,38 +373,8 @@ impl ResultCache {
             entries.extend(shard.slots.iter().flatten().cloned());
         }
         entries.sort_unstable_by_key(|(k, _)| *k);
-        let tmp = {
-            let mut os = path.clone().into_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        let write_image = || -> io::Result<u64> {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            let mut bytes = 0u64;
-            for (key, verdict) in &entries {
-                let record = encode_record(*key, verdict);
-                out.write_all(record.as_bytes())?;
-                out.write_all(b"\n")?;
-                bytes += record.len() as u64 + 1;
-            }
-            out.flush()?;
-            out.get_ref().sync_all()?;
-            Ok(bytes)
-        };
-        let bytes = match write_image() {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                return Err(e);
-            }
-        };
-        // Close the append handle before swapping the file under it.
-        journal.writer = None;
-        std::fs::rename(&tmp, &path)?;
-        journal.writer =
-            Some(BufWriter::new(OpenOptions::new().append(true).open(&path)?));
+        log.rewrite(entries.iter().map(|(key, verdict)| encode_record(*key, verdict)))?;
         journal.records = entries.len();
-        journal.bytes = bytes;
         journal.compactions += 1;
         Ok(())
     }
@@ -482,52 +392,18 @@ fn slot_of(key: u128) -> usize {
     ((key as u64) ^ ((key >> 64) as u64)) as usize
 }
 
-/// Replaces the journal's separators (tabs, newlines) and other control
-/// characters with spaces so a record stays one line of fixed fields.
-fn sanitize(s: &str) -> String {
-    s.chars().map(|c| if c.is_control() { ' ' } else { c }).collect()
-}
-
-/// FNV-1a, the record checksum. Not cryptographic — it guards against
-/// torn writes and bit rot, not adversaries (the journal is local,
-/// trusted state).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// One checksummed `v2` journal line (no trailing newline).
 fn encode_record(key: u128, v: &CachedVerdict) -> String {
-    let body = format!(
-        "v2\t{key:032x}\t{}\t{}\t{}\t{}",
-        sanitize(&v.verdict),
-        v.steps,
-        v.states,
-        sanitize(&v.detail),
-    );
-    let sum = fnv1a64(body.as_bytes());
-    format!("{body}\t{sum:016x}")
+    let (steps, states) = (v.steps.to_string(), v.states.to_string());
+    record_log::encode("", &[&format!("{key:032x}"), &v.verdict, &steps, &states, &v.detail])
 }
 
-fn parse_line(line: &str) -> Option<(u128, CachedVerdict)> {
-    if let Some(rest) = line.strip_prefix("v1\t") {
-        // Legacy record: no checksum, five fields after the tag.
-        return parse_fields(rest);
-    }
-    let (body, sum) = line.rsplit_once('\t')?;
-    let rest = body.strip_prefix("v2\t")?;
-    if u64::from_str_radix(sum, 16).ok()? != fnv1a64(body.as_bytes()) {
+/// A replayed record's payload: five fields, `v1` or `v2` alike.
+fn parse_record(kind: &str, fields: &str) -> Option<(u128, CachedVerdict)> {
+    if !kind.is_empty() {
         return None;
     }
-    parse_fields(rest)
-}
-
-fn parse_fields(rest: &str) -> Option<(u128, CachedVerdict)> {
-    let mut parts = rest.splitn(5, '\t');
+    let mut parts = fields.splitn(5, '\t');
     let key = u128::from_str_radix(parts.next()?, 16).ok()?;
     let verdict = parts.next()?.to_string();
     let steps = parts.next()?.parse().ok()?;
@@ -668,41 +544,69 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_garbage_between_records_is_skipped() {
-        let dir = temp_dir("interleave");
+    fn a_non_utf8_byte_skips_only_its_record() {
+        let dir = temp_dir("nonutf8");
+        {
+            let cache = ResultCache::open(&dir).unwrap();
+            for key in 1..=3 {
+                cache.insert(key, verdict(key as u64));
+            }
+        }
         let path = dir.join(JOURNAL_FILE);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut text = String::new();
-        for i in 0..8u64 {
-            text.push_str(&encode_record(u128::from(i), &verdict(i)));
-            text.push('\n');
-            text.push_str(&format!("garbage between records {i}\n"));
-        }
-        std::fs::write(&path, text).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Flip the high bit of a byte in the first record (key 1).
+        let at = bytes.iter().position(|&b| b == b'p').unwrap();
+        bytes[at] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 8);
-        for i in 0..8u64 {
-            assert_eq!(cache.lookup(u128::from(i)), Some(verdict(i)));
-        }
-        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 8, skipped: 8 });
+        assert_eq!(cache.lookup(1), None);
+        assert_eq!(cache.lookup(2), Some(verdict(2)));
+        assert_eq!(cache.lookup(3), Some(verdict(3)));
+        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 2, skipped: 1 });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A compaction image of four inserts (one an override), exactly as
+    /// daemons before the shared record log wrote it.
+    const ESTABLISHED_IMAGE: &str = "\
+        v2\t00000000000000000000000000000002\tpass\t2\t1\tno error found #2\tdb2d8a8af02194b6\n\
+        v2\t00000000000000000000000000000003\tpass\t30\t15\tno error found #30\t9a954dc6315344c0\n\
+        v2\t10000000000000000000000000000000\tpass\t1\t0\tno error found #1\t5c13e98645ed2db0\n";
+
     #[test]
-    fn bit_flipped_record_fails_its_checksum() {
-        let dir = temp_dir("bitflip");
+    fn records_keep_the_established_line_format() {
+        let v = CachedVerdict {
+            verdict: "race".to_string(),
+            detail: "race on `dev.count`:\tthread 1\nthread 2".to_string(),
+            steps: 1234,
+            states: 567,
+        };
+        assert_eq!(
+            encode_record(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210, &v),
+            "v2\t0123456789abcdeffedcba9876543210\trace\t1234\t567\t\
+             race on `dev.count`: thread 1 thread 2\t8c24b03cef332786"
+        );
+    }
+
+    #[test]
+    fn compaction_keeps_the_established_image_and_replays_it() {
+        let dir = temp_dir("golden");
         {
             let cache = ResultCache::open(&dir).unwrap();
-            cache.insert(5, verdict(5));
+            for (key, tag) in [(3u128, 3u64), (1 << 124, 1), (2, 2), (3, 30)] {
+                cache.insert(key, verdict(tag));
+            }
+            cache.compact().unwrap();
         }
         let path = dir.join(JOURNAL_FILE);
-        // Flip one character inside the verdict field: "pass" -> "paXs".
-        let text = std::fs::read_to_string(&path).unwrap().replace("pass", "paXs");
-        assert!(text.contains("paXs"), "fixture must actually corrupt the record");
-        std::fs::write(&path, text).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), ESTABLISHED_IMAGE);
+        // An image written before the shared record log replays whole.
+        std::fs::write(&path, ESTABLISHED_IMAGE).unwrap();
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 0, "a corrupt verdict must not replay");
-        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 0, skipped: 1 });
+        assert_eq!(cache.replay_stats(), ReplayStats { replayed: 3, skipped: 0 });
+        assert_eq!(cache.lookup(1 << 124), Some(verdict(1)));
+        assert_eq!(cache.lookup(2), Some(verdict(2)));
+        assert_eq!(cache.lookup(3), Some(verdict(30)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

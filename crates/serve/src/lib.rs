@@ -36,7 +36,8 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CachedVerdict, ReplayStats, ResultCache, SHARD_COUNT};
+pub use cache::{CachedVerdict, ResultCache, SHARD_COUNT};
+pub use kiss_obs::record_log::ReplayStats;
 pub use client::{
     fetch_metrics, ping, submit_batch, submit_batch_with, BatchOutcome, Endpoint, EntryCache,
     SubmitOptions,

@@ -160,9 +160,9 @@ fn journal_torn_mid_record_still_revives_surviving_entries() {
     kiss_fault::reset();
 
     // Restart fault-free. The torn head has no newline, so the next
-    // append fused with it into one corrupt line: replay must skip that
-    // line on its checksum (never half-parse it into a wrong verdict)
-    // and revive the intact tail record.
+    // append started a fresh line instead of fusing with it: replay
+    // must skip the torn head on its checksum (never half-parse it into
+    // a wrong verdict) and revive both records written after it.
     let server = ChaosServer::boot("revive", |cfg| {
         cfg.jobs = 1;
         cfg.cache_dir = Some(cache_dir.clone());
@@ -176,8 +176,8 @@ fn journal_torn_mid_record_still_revives_surviving_entries() {
     balance(&stats);
     assert_eq!(
         (stats.cache_hits, stats.cache_misses),
-        (1, 2),
-        "the corrupt fused line re-executes; the intact record hits"
+        (2, 1),
+        "the torn record re-executes; both records after the tear hit"
     );
 
     // The warm run drained cleanly, so compaction healed the journal:
